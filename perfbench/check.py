@@ -9,14 +9,14 @@ Every check here runs outside the timed repetitions:
   (and, for the fleet, identical to a process-pool run of the same spec);
 * **pins** — baseline accuracy and emulated inferences/s of each scenario
   equal the values in ``pins.json``, and on the default seed the merged
-  records' sha256 equals the pinned digest.  The pins hold for the model
-  weights they were taken with; when the weight build produced other bits
-  (another BLAS), ``weights_digest`` differs and only the accuracy-free
-  structure digest is compared;
-* **recompute** — a seed-derived sample of trials is re-run on a platform
-  with the clean-activation tape off (``tape_bytes=0``), and its baseline,
-  ``timing_report()`` throughput, trial descriptions and accuracies must
-  equal the recorded ones.
+  records' sha256 equals the pinned digest.  The pins hold for the
+  committed model weights, whose digest (``weights_digest``) ``run.py``
+  checks before anything runs;
+* **recompute** — every scenario is rebuilt with the clean-activation tape
+  off (``tape_bytes=0``): its fault-free logits must hash to the pinned
+  digest, and its baseline and ``timing_report()`` throughput must equal
+  the recorded ones; a seed-derived sample of trials is re-run on it, and
+  their descriptions and accuracies must equal the recorded ones.
 
 This emulator is not validated against FPGA hardware, so no error against
 the paper's measured inference rate is computed.
@@ -33,7 +33,6 @@ from pathlib import Path
 import numpy as np
 
 PINS = Path(__file__).resolve().parent / "pins.json"
-_VOLATILE = ("accuracy", "accuracy_drop", "baseline_accuracy")
 
 
 def weights_digest(path: Path) -> str:
@@ -51,7 +50,6 @@ class Merged:
     """One repetition's merged records, parsed."""
 
     digest: str
-    structure_digest: str
     scenarios: dict[str, dict]
     records: dict[str, dict[int, dict]]
     ips: dict[str, float]
@@ -59,13 +57,10 @@ class Merged:
     @classmethod
     def load(cls, artifacts: Path) -> "Merged":
         text = (artifacts / "sweep.jsonl").read_bytes()
-        structure = hashlib.sha256()
         scenarios: dict[str, dict] = {}
         records: dict[str, dict[int, dict]] = {}
         for line in text.decode().splitlines():
             data = json.loads(line)
-            stripped = {k: v for k, v in data.items() if k not in _VOLATILE}
-            structure.update(json.dumps(stripped, sort_keys=True).encode() + b"\n")
             if data["kind"] == "scenario":
                 scenarios[data["scenario"]] = data
                 records[data["scenario"]] = {}
@@ -80,7 +75,7 @@ class Merged:
             checkpoint = artifacts / "scenarios" / model / fault / strategy / f"{platform}.jsonl"
             with checkpoint.open() as handle:
                 ips[scenario] = json.loads(handle.readline())["emulated_inferences_per_second"]
-        return cls(hashlib.sha256(text).hexdigest(), structure.hexdigest(), scenarios, records, ips)
+        return cls(hashlib.sha256(text).hexdigest(), scenarios, records, ips)
 
     def problems(self, spec) -> list[str]:
         """Structural problems: missing trials, inconsistent accuracy drops."""
@@ -110,61 +105,89 @@ def scenario_trials(scenario) -> int:
     return scenario.build_strategy().expected_trials(universe)
 
 
-def pin_problems(pins: dict, merged: Merged, seed: int, weights_ok: bool) -> list[str]:
+def pin_problems(pins: dict, merged: Merged, seed: int) -> list[str]:
     """Compare with one spec's pins: scenario statistics, and digests on its seed."""
     out = []
-    if seed == pins["seed"]:
-        if merged.structure_digest != pins["structure_digest"]:
-            out.append(f"structure digest {merged.structure_digest} != pinned")
-        if weights_ok and merged.digest != pins["sha256"]:
-            out.append(f"sweep.jsonl sha256 {merged.digest} != pinned {pins['sha256']}")
+    if seed == pins["seed"] and merged.digest != pins["sha256"]:
+        out.append(f"sweep.jsonl sha256 {merged.digest} != pinned {pins['sha256']}")
     for scenario, pinned in pins["scenarios"].items():
         if merged.ips.get(scenario) != pinned["emulated_inferences_per_second"]:
             out.append(f"{scenario}: emulated inferences/s {merged.ips.get(scenario)} != pinned")
         baseline = merged.scenarios.get(scenario, {}).get("baseline_accuracy")
-        if weights_ok and baseline != pinned["baseline_accuracy"]:
+        if baseline != pinned["baseline_accuracy"]:
             out.append(f"{scenario}: baseline accuracy {baseline} != pinned")
     return out
 
 
+@dataclasses.dataclass
+class TapeOff:
+    """A scenario's platform with the clean-activation tape off."""
+
+    platform: object
+    images: np.ndarray
+    labels: np.ndarray
+    baseline: float
+    ips: float
+    #: SHA-256 of the fault-free logits of the images.  It is pinned, so a
+    #: numeric change on the clean inference path fails a run of any seed.
+    logits_sha256: str
+
+
+def tape_off(scenario, spec, weights: Path, platforms: dict) -> TapeOff:
+    """Build (memoised in ``platforms``) the scenario's tape-off platform."""
+    from repro.zoo import case_study_platform_spec
+
+    key = json.dumps(
+        [scenario.model.to_dict(), scenario.platform.to_dict(), spec.images], sort_keys=True
+    )
+    if key not in platforms:
+        config = dataclasses.replace(scenario.platform_config(), tape_bytes=0)
+        platform_spec, case = case_study_platform_spec(
+            scenario.model.case_spec(), platform_config=config, cache_dir=weights
+        )
+        platform = platform_spec.build()
+        images = case.dataset.test_images[: spec.images]
+        labels = case.dataset.test_labels[: spec.images]
+        logits = np.ascontiguousarray(platform.runtime.infer(images).logits)
+        platforms[key] = TapeOff(
+            platform,
+            images,
+            labels,
+            platform.baseline_accuracy(images, labels, batch_size=spec.batch_size),
+            platform.timing_report().inferences_per_second,
+            hashlib.sha256(logits.tobytes()).hexdigest(),
+        )
+    return platforms[key]
+
+
 def recompute_problems(
-    spec, merged: Merged, seed: int, count: int, weights: Path, platforms: dict
+    spec, merged: Merged, pins: dict, seed: int, count: int, weights: Path, platforms: dict
 ) -> list[str]:
-    """Re-run ``count`` seed-derived trials with the tape off and compare.
+    """Rebuild every scenario with the tape off and re-run ``count``
+    seed-derived trials; compare with the records and the pins.
 
     ``platforms`` memoises the tape-off platforms across calls of one run.
     """
     from repro.utils.rng import SeededRNG
-    from repro.zoo import case_study_platform_spec
 
+    out = []
     grid = list(spec.grid())
+    for scenario in grid:
+        clean = tape_off(scenario, spec, weights, platforms)
+        sid = scenario.scenario_id
+        if clean.logits_sha256 != pins["scenarios"][sid]["clean_logits_sha256"]:
+            out.append(f"{sid}: clean logits sha256 {clean.logits_sha256} != pinned")
+        if clean.baseline != merged.scenarios[sid]["baseline_accuracy"]:
+            out.append(f"{sid}: tape-off baseline {clean.baseline} != recorded")
+        if abs(clean.ips - merged.ips[sid]) > 1e-9 * clean.ips:
+            out.append(f"{sid}: timing_report {clean.ips} inf/s != recorded")
     pairs = [(s, i) for s in grid for i in sorted(merged.records[s.scenario_id])]
     sample = random.Random(seed).sample(pairs, min(count, len(pairs)))
-    out = []
     for scenario, index in sorted(sample, key=lambda pair: (pair[0].scenario_id, pair[1])):
-        key = json.dumps(
-            [scenario.model.to_dict(), scenario.platform.to_dict(), spec.images], sort_keys=True
-        )
-        if key not in platforms:
-            config = dataclasses.replace(scenario.platform_config(), tape_bytes=0)
-            platform_spec, case = case_study_platform_spec(
-                scenario.model.case_spec(), platform_config=config, cache_dir=weights
-            )
-            platform = platform_spec.build()
-            images = case.dataset.test_images[: spec.images]
-            labels = case.dataset.test_labels[: spec.images]
-            baseline = platform.baseline_accuracy(images, labels, batch_size=spec.batch_size)
-            ips = platform.timing_report().inferences_per_second
-            platforms[key] = (platform, images, labels, baseline, ips)
-        platform, images, labels, baseline, ips = platforms[key]
-        header = merged.scenarios[scenario.scenario_id]
-        if baseline != header["baseline_accuracy"]:
-            out.append(f"{scenario.scenario_id}: tape-off baseline {baseline} != recorded")
-        if abs(ips - merged.ips[scenario.scenario_id]) > 1e-9 * ips:
-            out.append(f"{scenario.scenario_id}: timing_report {ips} inf/s != recorded")
-        trial = scenario.build_strategy().trial_at(platform.universe, SeededRNG(seed), index)
-        accuracy = platform.accuracy_with_faults(
-            trial.config, images, labels, batch_size=spec.batch_size
+        clean = tape_off(scenario, spec, weights, platforms)
+        trial = scenario.build_strategy().trial_at(clean.platform.universe, SeededRNG(seed), index)
+        accuracy = clean.platform.accuracy_with_faults(
+            trial.config, clean.images, clean.labels, batch_size=spec.batch_size
         )
         record = merged.records[scenario.scenario_id][index]
         if trial.config.describe() != record["description"] or accuracy != record["accuracy"]:

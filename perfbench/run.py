@@ -13,7 +13,7 @@ Workloads (specs under ``perfbench/specs``, execution in ``workload.py``):
 * ``fig2-dense``  — the paper's Fig. 2 campaign, serial, 64 images per trial;
 * ``bitflip-acc`` — value-dependent product and accumulator faults, serial;
 * ``memdw-pool``  — depthwise memory-fault sweep on a 2-process pool;
-* ``memdw-fleet`` — the same sweep through a coordinator and 2 HTTP nodes.
+* ``memdw-fleet`` — the same sweep through a coordinator and 1 HTTP node.
 
 ``--seed`` selects the inputs: repetition *i* of a run sets the spec seed
 to ``1000 * seed + i``, which decides the fault sites every trial arms.
@@ -36,11 +36,13 @@ printed with the metrics.  With ``--trace 1`` untraced and traced
 repetitions alternate and the per-layer metrics of ``tracer.py`` are
 reported, with each layer's share of wall time and the tracing overhead.
 
-The first run in a checkout trains the workloads' models into
-``.bench_build/perfbench/weights``; training time is reported as metadata
-and never enters a timed repetition.  Every process runs with one BLAS
-thread and with durable checkpoint writes on.  The last line of standard
-output is the JSON result.
+The models' trained weights are committed under ``perfbench/weights``
+beside the pins they produce; a run refuses to start when a model a spec
+names has no weights there or they differ from the pinned build (re-pin
+with ``pin.py``).  Their training time, measured when they were pinned, is
+reported as metadata.  Every process runs with one BLAS thread and with
+durable checkpoint writes on.  The last line of standard output is the JSON
+result.
 """
 
 from __future__ import annotations
@@ -61,8 +63,10 @@ from workload import HERE, WORKLOADS, load_spec
 #: Environment of every benchmark process: processes x BLAS threads stay
 #: within the 2 cores the workloads were sized on, durable writes stay on.
 PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-#: Trained model weights, built by the first run in a checkout.
-WEIGHTS = Path(".bench_build") / "perfbench" / "weights"
+#: Trained model weights, committed with the pins they were taken with.
+WEIGHTS = HERE / "weights"
+#: Repetition artifacts, relative to the repository root.
+BUILD = Path(".bench_build") / "perfbench"
 MIN_REPS = 3
 #: Stop adding repetitions past this, whatever --seconds asks for, so a run
 #: with its checks ends well within 180 s.
@@ -75,36 +79,30 @@ def pin_environment(root: Path) -> None:
     os.environ.pop("REPRO_NO_FSYNC", None)
     os.environ.update(PINNED_ENV)
     os.environ["PYTHONPATH"] = str(root / "src")
-    os.environ["REPRO_CACHE_DIR"] = str(root / WEIGHTS)
+    os.environ["REPRO_CACHE_DIR"] = str(WEIGHTS)
     sys.path.insert(0, str(root / "src"))
 
 
-def prepare_weights(weights: Path) -> dict[str, float]:
-    """Train every model a spec names that is not cached yet (not timed)."""
-    from repro.zoo import train_case_study_model
+def weight_problems(workload) -> list[str]:
+    """Models of the workload's spec without committed, pinned weights."""
+    import check
 
-    ledger_path = weights / "build.json"
-    ledger = json.loads(ledger_path.read_text()) if ledger_path.exists() else {}
-    cases = {}
-    for workload in WORKLOADS.values():
-        for scenario in load_spec(workload, 0).grid():
-            case = scenario.model.case_spec()
-            cases[case.cache_key()] = case
-    for key, case in sorted(cases.items()):
-        if (weights / f"{key}.npz").exists() and key in ledger:
-            continue
-        start = time.perf_counter()
-        train_case_study_model(case, cache_dir=weights)
-        ledger[key] = time.perf_counter() - start
-        ledger_path.write_text(json.dumps(ledger, indent=2, sort_keys=True))
-    return ledger
+    pinned = json.loads(check.PINS.read_text())[Path(workload.spec).stem]["weights"]
+    keys = {s.model.case_spec().cache_key() for s in load_spec(workload, 0).grid()}
+    return [
+        f"weights {key}.npz are missing or differ from the pinned build"
+        for key in sorted(keys)
+        if key not in pinned
+        or not (WEIGHTS / f"{key}.npz").exists()
+        or check.weights_digest(WEIGHTS / f"{key}.npz") != pinned[key]
+    ]
 
 
-def run_rep(name: str, seed: int, out: Path, weights: Path, trace: bool) -> dict | None:
+def run_rep(name: str, seed: int, out: Path, trace: bool) -> dict | None:
     """One repetition in a fresh process tree; None when it failed."""
     shutil.rmtree(out, ignore_errors=True)
     command = [sys.executable, str(HERE / "workload.py"), "--workload", name,
-               "--seed", str(seed), "--weights", str(weights), "--out", str(out)]
+               "--seed", str(seed), "--weights", str(WEIGHTS), "--out", str(out)]
     if trace:
         command.append("--trace")
     # A session of its own, so a repetition that overruns is stopped together
@@ -123,7 +121,7 @@ def run_rep(name: str, seed: int, out: Path, weights: Path, trace: bool) -> dict
     return json.loads((out / "result.json").read_text())
 
 
-def metadata(root: Path, ledger: dict) -> dict:
+def metadata(root: Path) -> dict:
     src_lines = sum(
         len(path.read_bytes().splitlines()) for path in (root / "src").rglob("*.py")
     )
@@ -132,6 +130,7 @@ def metadata(root: Path, ledger: dict) -> dict:
         commit = subprocess.run(
             ["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True
         ).stdout.strip() or commit
+    ledger = json.loads((WEIGHTS / "build.json").read_text())
     return {"src_lines": src_lines, "commit": commit, "weight_build_s": ledger}
 
 
@@ -141,20 +140,13 @@ def rep_seed(seed: int, index: int) -> int:
     return 1000 * seed + index
 
 
-def verify(name: str, reps: list[tuple[int, dict]], reference: tuple[int, dict] | None,
-           weights: Path) -> tuple[int, list[str]]:
+def verify(name: str, reps: list[tuple[int, dict]],
+           reference: tuple[int, dict] | None) -> tuple[int, list[str]]:
     """``(verified records, problems)`` over ``(spec seed, repetition)`` pairs."""
     import check
 
     workload = WORKLOADS[name]
     pins = json.loads(check.PINS.read_text())[Path(workload.spec).stem]
-    weights_ok = all(
-        check.weights_digest(weights / f"{key}.npz") == digest
-        for key, digest in pins["weights"].items()
-    )
-    if not weights_ok:
-        print("  note: weights differ from the pinned build; "
-              "sha256 and baseline pins replaced by the structure digest")
     platforms: dict = {}
     digests: dict[int, str] = {}
     if reference is not None:
@@ -163,10 +155,10 @@ def verify(name: str, reps: list[tuple[int, dict]], reference: tuple[int, dict] 
     for seed, rep in reps:
         spec = load_spec(workload, seed)
         merged = check.Merged.load(Path(rep["artifacts"]))
-        found = merged.problems(spec) + check.pin_problems(pins, merged, seed, weights_ok)
+        found = merged.problems(spec) + check.pin_problems(pins, merged, seed)
         if not found:
             found = check.recompute_problems(
-                spec, merged, seed, workload.check_trials, weights, platforms
+                spec, merged, pins, seed, workload.check_trials, WEIGHTS, platforms
             )
         if digests.setdefault(seed, merged.digest) != merged.digest:
             found.append(f"seed {seed}: merged records differ between runs of the same input"
@@ -195,19 +187,22 @@ def main(argv: list[str] | None = None) -> int:
         print("error: run from the repository root (src/repro not found)", file=sys.stderr)
         return 2
     pin_environment(root)
-    weights = root / WEIGHTS
-    reps_dir = weights.parent / "reps"
-    weights.mkdir(parents=True, exist_ok=True)
+    reps_dir = root / BUILD / "reps"
 
     workload = WORKLOADS[args.workload]
     load_spec(workload, args.seed)  # validates the spec before anything runs
+    problems = weight_problems(workload)
+    if problems:
+        for problem in problems:
+            print(f"  CHECK FAILED: {problem}", file=sys.stderr)
+        print("error: re-pin deliberately with python3 perfbench/pin.py", file=sys.stderr)
+        return 1
     import check
 
-    ledger = prepare_weights(weights)
     trials_per_rep = sum(check.scenario_trials(s) for s in load_spec(workload, 0).grid())
     print(f"perfbench {args.workload} seed={args.seed} seconds={args.seconds:g} "
           f"trace={args.trace}")
-    print(f"  metadata: {json.dumps(metadata(root, ledger), sort_keys=True)}")
+    print(f"  metadata: {json.dumps(metadata(root), sort_keys=True)}")
 
     shutil.rmtree(reps_dir, ignore_errors=True)
     plain: list[dict | None] = []
@@ -226,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
         batch = traced if tracing else plain
         seed = rep_seed(args.seed, len(batch))
         kind = "traced" if tracing else "plain"
-        rep = run_rep(args.workload, seed, reps_dir / f"{kind}-{len(batch)}", weights, tracing)
+        rep = run_rep(args.workload, seed, reps_dir / f"{kind}-{len(batch)}", tracing)
         batch.append(rep)
         if rep is not None:
             print(f"  {kind:<6} rep {len(batch)} (spec seed {seed}): setup "
@@ -240,12 +235,12 @@ def main(argv: list[str] | None = None) -> int:
     if workload.mode == "fleet":
         # The fleet must merge exactly the records a process pool produces.
         seed = rep_seed(args.seed, 0)
-        pool = run_rep("memdw-pool", seed, reps_dir / "pool-reference", weights, False)
+        pool = run_rep("memdw-pool", seed, reps_dir / "pool-reference", False)
         reference = (seed, pool) if pool is not None else None
     if workload.mode == "fleet" and reference is None:
         verified, problems = 0, ["the process-pool reference run failed"]
     else:
-        verified, problems = verify(args.workload, done_reps, reference, weights)
+        verified, problems = verify(args.workload, done_reps, reference)
     attempted = trials_per_rep * (len(plain) + len(traced))
     failed = attempted - verified
     for problem in problems:

@@ -47,18 +47,25 @@ class Workload:
     workers: int
     #: Trials per fused engine pass (``repro sweep --fused-trials``).  The
     #: serial workloads stream one record per trial, so the time to the first
-    #: record and the record cadence measure trials, not delivery groups.
+    #: record and the record cadence measure trials, not delivery groups.  It
+    #: leaves their engine path as it is at the default of 8: a fused pass
+    #: would stack at most one trial at 64 images (fig2-dense) and at 32
+    #: (bitflip-acc, where the 4 MiB accumulator cap binds), so every trial
+    #: takes the serial path either way (0 ``accuracy_multi`` calls traced).
     fused_trials: int
     #: Trials of each repetition re-run on a tape-off platform by the check.
     check_trials: int
 
 
-#: Why each workload exists is recorded in BENCHMARK.json.
+#: Why each workload exists is recorded in BENCHMARK.json.  The fleet runs
+#: one node, so the coordinator and the node are as many processes as the 2
+#: cores the benchmark was sized on; with two nodes beside the coordinator
+#: its trials/s moved by up to 40% between sets of runs on a 2-vCPU VM.
 WORKLOADS: dict[str, Workload] = {
     "fig2-dense": Workload("fig2-dense.toml", "serial", 1, 1, 1),
     "bitflip-acc": Workload("bitflip-acc.toml", "serial", 1, 1, 1),
     "memdw-pool": Workload("memdw.toml", "pool", 2, 8, 3),
-    "memdw-fleet": Workload("memdw.toml", "fleet", 2, 8, 3),
+    "memdw-fleet": Workload("memdw.toml", "fleet", 1, 8, 3),
 }
 
 
@@ -149,8 +156,7 @@ def run_fleet(workload: Workload, spec, out: Path, weights: Path, trace_dir: Pat
             nodes.append(subprocess.Popen(
                 [sys.executable, str(HERE / "fleet_node.py"),
                  "--coordinator", coordinator.url, "--name", f"node-{ordinal}",
-                 "--cache-dir", str(weights), "--jitter-seed", str(ordinal),
-                 "--poll-interval", "0.05"],
+                 "--cache-dir", str(weights), "--jitter-seed", str(ordinal)],
                 env=env, stdout=subprocess.DEVNULL, stderr=log,
             ))
         while job.state not in (JOB_DONE, JOB_FAILED):

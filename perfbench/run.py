@@ -1,17 +1,16 @@
-"""Campaign benchmark: trials/s, set-up time and peak memory of four workloads.
+"""Campaign benchmark: trials/s, set-up time and peak memory of three workloads.
 
 Usage, from the repository root::
 
     python3 perfbench/run.py --workload fig2-dense --seed 1 --seconds 10 --trace 0
 
-    for w in fig2-dense bitflip-acc memdw-pool memdw-fleet; do
+    for w in fig2-dense memdw-pool memdw-fleet; do
         python3 perfbench/run.py --workload $w --seed 0 --seconds 10 --trace 0
     done
 
 Workloads (specs under ``perfbench/specs``, execution in ``workload.py``):
 
 * ``fig2-dense``  — the paper's Fig. 2 campaign, serial, 64 images per trial;
-* ``bitflip-acc`` — value-dependent product and accumulator faults, serial;
 * ``memdw-pool``  — depthwise memory-fault sweep on a 2-process pool;
 * ``memdw-fleet`` — the same sweep through a coordinator and 1 HTTP node.
 
@@ -20,10 +19,16 @@ to ``1000 * seed + i``, which decides the fault sites every trial arms.
 Each repetition runs the whole workload in a fresh process tree
 (``workload.py``); the work is a closed loop, each worker taking its next
 trial when it finishes the last.  With ``--trace 0`` repetitions run
-untraced until ``--seconds`` have passed and at least three ran:
+untraced while another one still fits in ``--seconds`` (judged by the
+ones before), and at least three run:
 
-* ``trials_per_s`` — median over repetitions of the records delivered after
-  the first one, divided by the time from the first to the last record;
+* ``trials_per_s`` — the records delivered after each repetition's first
+  one, divided by the time a typical repetition takes to deliver them: the
+  trial window is cut into blocks of a fixed number of records (one trial
+  on the serial workload), every block's time is its median over the
+  repetitions, and the block medians are summed.  A stall of the host that
+  hits one repetition's block does not move the figure; a change that
+  slows every repetition does;
 * ``setup_s`` — median wall time from workload start to the first record:
   model load from the weight cache, compile, platform build, baseline/tape
   pass and, for the pool and fleet, worker start and registration;
@@ -169,9 +174,38 @@ def verify(name: str, reps: list[tuple[int, dict]],
     return verified, problems
 
 
-def trials_per_s(rep: dict) -> float:
+def rep_rate(rep: dict) -> float:
     """Records after the repetition's first, over its first-to-last-record window."""
     return rep["records_after_first"] / rep["window_s"]
+
+
+def block_times(rep: dict, block: int) -> list[float]:
+    """Delivery time of each block of ``block`` records after the first record.
+
+    A block ends at the first delivery that completes its record count; the
+    last block holds the remainder.
+    """
+    stamps = rep["stamps"]
+    first, total = stamps[0][1], rep["records"]
+    ends = list(range(first + block, total, block)) + [total]
+    times, start, delivered = [], stamps[0][0], first
+    stamp = iter(stamps[1:])
+    for end in ends:
+        while delivered < end:
+            at, count = next(stamp)
+            delivered += count
+        times.append(at - start)
+        start = at
+    return times
+
+
+def trials_per_s(reps: list[dict], block: int) -> float:
+    """Records after the first over the sum of per-block median times."""
+    blocks = [block_times(rep, block) for rep in reps]
+    if len({len(b) for b in blocks}) != 1:
+        raise ValueError("repetitions delivered their records in different blocks")
+    typical = sum(statistics.median(times) for times in zip(*blocks))
+    return reps[0]["records_after_first"] / typical
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -210,10 +244,15 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     while True:
         elapsed = time.perf_counter() - start
+        # Another repetition (a traced pair with --trace 1) is started only
+        # while it is expected to end within --seconds, going by the mean
+        # duration of those before it.
+        runs = len(plain) + len(traced)
+        fits = not runs or elapsed * (runs + 1 + args.trace) / runs <= args.seconds
         if args.trace:
-            done = plain and len(traced) == len(plain) and elapsed >= args.seconds
+            done = plain and len(traced) == len(plain) and not fits
         else:
-            done = len(plain) >= MIN_REPS and elapsed >= args.seconds
+            done = len(plain) >= MIN_REPS and not fits
         if done or (elapsed >= MAX_LOOP_S and len(traced) == len(plain) * args.trace):
             break
         # Traced repetition i runs the same input as untraced repetition i.
@@ -226,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
         if rep is not None:
             print(f"  {kind:<6} rep {len(batch)} (spec seed {seed}): setup "
                   f"{rep['setup_s']:.3f} s, {rep['records_after_first']} records in "
-                  f"{rep['window_s']:.3f} s ({trials_per_s(rep):.3f}/s), "
+                  f"{rep['window_s']:.3f} s ({rep_rate(rep):.3f}/s), "
                   f"peak {rep['peak_rss_mb']:.1f} MB")
 
     done_reps = [(rep_seed(args.seed, i), rep) for batch in (plain, traced)
@@ -253,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
         print("error: no untraced repetition completed", file=sys.stderr)
         return 1
     end_to_end = {
-        "trials_per_s": (statistics.median(trials_per_s(r) for r in good), "1/s"),
+        "trials_per_s": (trials_per_s(good, workload.block), "1/s"),
         "setup_s": (statistics.median(r["setup_s"] for r in good), "s"),
         "peak_rss_mb": (statistics.median(r["peak_rss_mb"] for r in good), "MB"),
     }
@@ -263,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
 
     declared = json.loads((root / "BENCHMARK.json").read_text())
     if args.trace:
-        values = per_layer(plain, traced)
+        values = per_layer(plain, traced, workload.block)
         names = declared["per_layer"]
     else:
         values = {key: value for key, (value, _) in end_to_end.items()}
@@ -279,7 +318,8 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def per_layer(plain: list[dict | None], traced: list[dict | None]) -> dict[str, float]:
+def per_layer(plain: list[dict | None], traced: list[dict | None],
+              block: int) -> dict[str, float]:
     """Median per-layer metrics of the traced repetitions, printed as a table.
 
     The tracing overhead compares traced repetitions with the untraced
@@ -292,8 +332,7 @@ def per_layer(plain: list[dict | None], traced: list[dict | None]) -> dict[str, 
         for name in good[0]["layers"]
     }
     layers["trace.overhead_frac"] = 1.0 - (
-        statistics.median(trials_per_s(t) for t in good)
-        / statistics.median(trials_per_s(p) for p, _ in pairs)
+        trials_per_s(good, block) / trials_per_s([p for p, _ in pairs], block)
     )
     print("  self time by layer (first traced repetition, share of traced wall):")
     for layer, seconds, share in good[0]["shares"]:

@@ -16,8 +16,8 @@ record merge for the fleet.  ``--trace`` additionally installs the
 outside-in tracer of ``tracer.py`` in every process of the tree.
 
 The repetition writes ``<out>/result.json``: set-up time, the trial window,
-record counts, peak memory, where the merged records are, and (traced) the
-per-layer metrics.
+record counts and delivery times, peak memory, where the merged records
+are, and (traced) the per-layer metrics.
 """
 
 from __future__ import annotations
@@ -46,15 +46,18 @@ class Workload:
     mode: str
     workers: int
     #: Trials per fused engine pass (``repro sweep --fused-trials``).  The
-    #: serial workloads stream one record per trial, so the time to the first
+    #: serial workload streams one record per trial, so the time to the first
     #: record and the record cadence measure trials, not delivery groups.  It
-    #: leaves their engine path as it is at the default of 8: a fused pass
-    #: would stack at most one trial at 64 images (fig2-dense) and at 32
-    #: (bitflip-acc, where the 4 MiB accumulator cap binds), so every trial
-    #: takes the serial path either way (0 ``accuracy_multi`` calls traced).
+    #: leaves its engine path as it is at the default of 8: a fused pass
+    #: would stack at most one trial at 64 images, so every trial takes the
+    #: serial path either way (0 ``accuracy_multi`` calls traced).
     fused_trials: int
     #: Trials of each repetition re-run on a tape-off platform by the check.
     check_trials: int
+    #: Records per timing block of ``trials_per_s`` (``run.py``): one trial
+    #: for the serial workload, several delivery bursts (fused groups of 8
+    #: on the pool, record batches of 8 from a fleet node) for memdw.
+    block: int
 
 
 #: Why each workload exists is recorded in BENCHMARK.json.  The fleet runs
@@ -62,10 +65,9 @@ class Workload:
 #: cores the benchmark was sized on; with two nodes beside the coordinator
 #: its trials/s moved by up to 40% between sets of runs on a 2-vCPU VM.
 WORKLOADS: dict[str, Workload] = {
-    "fig2-dense": Workload("fig2-dense.toml", "serial", 1, 1, 1),
-    "bitflip-acc": Workload("bitflip-acc.toml", "serial", 1, 1, 1),
-    "memdw-pool": Workload("memdw.toml", "pool", 2, 8, 3),
-    "memdw-fleet": Workload("memdw.toml", "fleet", 1, 8, 3),
+    "fig2-dense": Workload("fig2-dense.toml", "serial", 1, 1, 1, 1),
+    "memdw-pool": Workload("memdw.toml", "pool", 2, 8, 3, 48),
+    "memdw-fleet": Workload("memdw.toml", "fleet", 1, 8, 3, 48),
 }
 
 
@@ -247,6 +249,7 @@ def main(argv: list[str] | None = None) -> int:
         "records": records,
         "records_after_first": records - stamps[0][1],
         "wall_s": end - start,
+        "stamps": [(t - start, n) for t, n in stamps],
         "peak_rss_mb": peak_rss_mb(),
         "scenarios": len(spec.grid()),
         "artifacts": info["artifacts"],

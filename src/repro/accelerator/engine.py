@@ -31,6 +31,15 @@ For value-dependent models (bit flips, transient pulses) the affected
 products are materialised, transformed by the model and re-summed.  Both
 paths are validated against the scalar reference engine in the test suite.
 
+When a layer's accumulator is *recomputed* (its input diverged from the
+clean tape, or a weight-surface fault makes it non-reusable) and every armed
+fault is a constant product override, the same identity is applied before
+the GEMM instead of after it: the affected ``(output channel, im2col row)``
+weights are zeroed in a copy of the weight matrix and ``constant * terms``
+is added per output channel, so one GEMM replaces the clean GEMM plus one
+gathered GEMM per site.  Layers served from the tape, and every other fault
+model, keep the per-site correction path.
+
 Fast math
 ---------
 The clean accumulator is computed by the shared exact integer GEMM core
@@ -40,12 +49,17 @@ whose exactness is certified by an overflow bound — bit-identical to the
 original int64 einsum, several times faster.
 
 Because ``faulty = clean + correction``, a campaign that re-evaluates the
-same frozen image batch under many injection configurations recomputes the
-same clean GEMMs over and over.  :class:`CleanAccumulatorCache` memoises
-``(layer, input-digest) -> (cols, clean accumulator)`` so repeat trials pay
-only the correction-term cost for every layer whose input is unchanged (the
-first conv layer always qualifies; deeper layers qualify whenever the armed
-fault did not perturb the upstream activations).
+same frozen image batch under many injection configurations needs each
+clean GEMM only once: the accelerator's :class:`CleanForwardTape` records
+every layer's cols and clean accumulator during the fault-free baseline
+pass, and a trial whose input to a layer is still the clean one pays only
+the correction terms there.
+
+A recomputed layer whose cols nothing reads after the GEMM (faults folded,
+or no datapath fault) streams ``im2col -> GEMM`` over image blocks whose
+float32 column block fits in L2 (:data:`STREAM_BLOCK_BYTES`), writing into
+one int64 accumulator, so the whole ``(N, rows, positions)`` column buffer
+and its float copy are never materialised.
 """
 
 from __future__ import annotations
@@ -65,6 +79,12 @@ from repro.quant.qlayers import QConv, QLinear
 from repro.runtime.gemm import exact_matmul
 from repro.utils.bitops import ACCUMULATOR_WIDTH, saturate
 from repro.utils.profiling import PROFILER
+
+#: Float32 bytes of im2col columns per stream block of a recomputed GEMM,
+#: sized to a core's L2 cache.  On a 2 MiB-L2 Xeon the per-layer cost of the
+#: ResNet-18 (width 0.25, 64 images) convs was flat from 0.5 to 16 MiB; what
+#: the streaming saves is the batch-sized column buffer and its float copy.
+STREAM_BLOCK_BYTES = 2 << 20
 
 
 def config_fusable(config: InjectionConfig) -> bool:
@@ -235,8 +255,8 @@ class VectorisedEngine:
     # ------------------------------------------------------------------
     def _clean_accumulate(
         self, name: str, x_q: np.ndarray, w_mat: np.ndarray, make_cols,
-        reusable: bool = True,
-    ) -> tuple[np.ndarray, np.ndarray, bool]:
+        reusable: bool = True, recompute=None,
+    ) -> tuple[np.ndarray | None, np.ndarray, bool]:
         """Return ``(cols, clean acc, acc owned)``, via the tape or cache.
 
         With a tape segment active the lookup is a pointer-identity check
@@ -252,27 +272,36 @@ class VectorisedEngine:
         weight-surface fault breaks that assumption — a clean input would
         falsely hit the clean accumulator — so such ops always recompute.
 
+        ``recompute`` (a callable returning ``(cols or None, acc)``) replaces
+        ``make_cols`` + one GEMM on those recomputing branches — tape miss,
+        tape-armed chunk without a segment, non-reusable op — and only
+        there; see :meth:`_recompute`.  A ``None`` cols means the returned
+        accumulator already carries the configuration's faults.
+
         The ``owned`` flag tells the caller whether the accumulator is a
         freshly computed buffer it may mutate in place (suffix GEMMs) or a
         shared tape/cache entry that fault corrections must copy first.
         """
-        if not reusable:
+
+        def fresh(stage: str):
             start = PROFILER.tick()
-            cols = make_cols()
-            acc = exact_matmul(w_mat, cols)
-            PROFILER.tock("suffix_forward", start)
+            if recompute is not None:
+                cols, acc = recompute()
+            else:
+                cols = make_cols()
+                acc = exact_matmul(w_mat, cols)
+            PROFILER.tock(stage, start)
             return cols, acc, True
+
+        if not reusable:
+            return fresh("suffix_forward")
         tape = self.tape
         segment = self.tape_segment
         if tape is not None and segment is None and self.tape_chunk_active:
             # Tape-armed chunk whose segment was evicted or failed
             # verification: recompute the layer directly.
             tape.layer_misses += 1
-            start = PROFILER.tick()
-            cols = make_cols()
-            acc = exact_matmul(w_mat, cols)
-            PROFILER.tock("suffix_forward", start)
-            return cols, acc, True
+            return fresh("suffix_forward")
         if tape is not None and segment is not None:
             if tape.recording:
                 start = PROFILER.tick()
@@ -292,11 +321,7 @@ class VectorisedEngine:
                 tape.layer_hits += 1
                 return entry.cols, entry.acc, False
             tape.layer_misses += 1
-            start = PROFILER.tick()
-            cols = make_cols()
-            acc = exact_matmul(w_mat, cols)
-            PROFILER.tock("suffix_forward", start)
-            return cols, acc, True
+            return fresh("suffix_forward")
         cache = self.clean_cache
         if cache is None:
             cols = make_cols()
@@ -368,21 +393,117 @@ class VectorisedEngine:
         out_w = conv_output_size(w, k, node.stride, node.padding)
 
         w_mat = weight.reshape(oc, -1)  # int8, (OC, IC*K*K)
+
+        def cols_of(x: np.ndarray) -> np.ndarray:
+            # int8 patches, (N, IC*K*K, P) — narrow until the GEMM boundary
+            return im2col(x, k, node.stride, node.padding)
+
         cols, acc, owned = self._clean_accumulate(
             node.name,
             x_q,
             w_mat,
-            # int8 patches, (N, IC*K*K, P) — narrow until the GEMM boundary
-            lambda: im2col(x_q, k, node.stride, node.padding),
+            lambda: cols_of(x_q),
             reusable=reusable,
+            recompute=lambda: self._recompute(
+                x_q, w_mat, cols_of, out_h * out_w, ic, k * k, config
+            ),
         )
 
-        if config.enabled:
+        if config.enabled and cols is not None:
             acc = self._apply_faults_conv(acc, cols, w_mat, node, config, owned)
             owned = True
 
         acc = self._saturated(acc, owned)
         return acc.reshape(n, oc, out_h, out_w)
+
+    def _recompute(
+        self,
+        x_q: np.ndarray,
+        w_mat: np.ndarray,
+        cols_of,
+        positions: int,
+        in_channels: int,
+        kernel_elems: int,
+        config: InjectionConfig,
+    ) -> tuple[np.ndarray | None, np.ndarray]:
+        """``(cols, acc)`` of a conv/FC layer that is not served by the tape.
+
+        With every armed fault a constant product override the faults are
+        folded into the weights (:meth:`_fold_constants`) and the GEMM is
+        streamed; with no datapath fault the clean GEMM is streamed.  Either
+        way nothing needs the cols afterwards, so ``(None, faulty acc)`` is
+        returned.  Any other configuration materialises the cols for the
+        per-site corrections and returns ``(cols, clean acc)``.
+        """
+        offset = None
+        if config.enabled:
+            folded = self._fold_constants(w_mat, in_channels, kernel_elems, config)
+            if folded is None:
+                cols = cols_of(x_q)
+                return cols, exact_matmul(w_mat, cols)
+            w_mat, offset = folded
+        acc = self._streamed_gemm(x_q, w_mat, cols_of, positions)
+        if offset is not None:
+            acc += offset[None, :, None]
+        return None, acc
+
+    @staticmethod
+    def _streamed_gemm(
+        x_q: np.ndarray, w_mat: np.ndarray, cols_of, positions: int
+    ) -> np.ndarray:
+        """``w_mat @ cols_of(x_q)`` over image blocks of L2-sized columns.
+
+        Each block's float32 columns fit in :data:`STREAM_BLOCK_BYTES`, so
+        only the int64 accumulator spans the whole batch: the batch-sized
+        column buffer and its float copy are never allocated.  Every block
+        is an independent exact GEMM, so the result is bit-identical to one
+        call.
+        """
+        n = x_q.shape[0]
+        block = max(1, STREAM_BLOCK_BYTES // (4 * w_mat.shape[1] * positions))
+        if n <= block:
+            return exact_matmul(w_mat, cols_of(x_q))
+        acc = np.empty((n, w_mat.shape[0], positions), dtype=np.int64)
+        for lo in range(0, n, block):
+            acc[lo:lo + block] = exact_matmul(w_mat, cols_of(x_q[lo:lo + block]))
+        return acc
+
+    def _fold_constants(
+        self,
+        w_mat: np.ndarray,
+        in_channels: int,
+        kernel_elems: int,
+        config: InjectionConfig,
+    ) -> tuple[np.ndarray, np.ndarray | None] | None:
+        """``(folded weights, per-channel offset)`` of a constant-only config.
+
+        Returns ``None`` unless every armed fault is a product-stage constant
+        override (value- and cycle-independent).  Each site's affected
+        weights are zeroed — removing their true contribution — and
+        ``constant * terms`` (real plus padding lanes) is added to the
+        site's output channels: the correction path's ``clean -
+        true_contrib + constant * terms`` evaluated inside one GEMM.  Sites
+        are disjoint in ``(output channel, input lane)``, so the folds
+        compose.  The offset is ``None`` when it is zero everywhere.
+        """
+        if not all(
+            model.stage == "product"
+            and not model.value_dependent
+            and not model.cycle_dependent
+            and model.constant_override() is not None
+            for model in config.faults.values()
+        ):
+            return None
+        w_fold = w_mat.copy()
+        offset = np.zeros(w_mat.shape[0], dtype=np.int64)
+        for site, model in config.faults.items():
+            site.validate(self.geometry.num_macs, self.geometry.muls_per_mac)
+            oc_sel, _, rows, pad_terms = self._site_lanes(
+                site, w_mat.shape[0], in_channels, kernel_elems
+            )
+            w_fold[np.ix_(oc_sel, rows)] = 0
+            offset[oc_sel] += np.int64(model.constant_override()) * (rows.size + pad_terms)
+        return w_fold, (offset if offset.any() else None)
 
     @staticmethod
     def _saturated(acc: np.ndarray, owned: bool) -> np.ndarray:
@@ -547,10 +668,34 @@ class VectorisedEngine:
         # The generic int64 einsum is acceptable here because, like the
         # value-dependent product path, it only touches the armed MAC's
         # ~1/atomic_k slice of the layer; the clean accumulator itself still
-        # comes from the BLAS-backed GEMM core (and is usually cached).
+        # comes from the BLAS-backed GEMM core.
         partials = np.einsum("ogle,nglep->nogep", w_g, cols_g)
         faulty = model.apply(partials, self.rng)
         return (faulty - partials).sum(axis=(2, 3))
+
+    def _site_lanes(
+        self,
+        site: FaultSite,
+        out_channels: int,
+        in_channels: int,
+        kernel_elems: int,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """NVDLA lane mapping of one site: ``(oc_sel, ic_real, rows, pad_terms)``.
+
+        ``oc_sel`` holds the output channels MAC unit ``site.mac_unit``
+        computes, ``ic_real`` the real input channels multiplier
+        ``site.multiplier`` sees, ``rows`` their im2col rows and
+        ``pad_terms`` the products of the site's zero-padded channel lanes
+        (one per kernel element), which still cycle in hardware.
+        """
+        oc_sel = np.arange(site.mac_unit, out_channels, self.geometry.atomic_k)
+        ic_real = np.arange(site.multiplier, in_channels, self.geometry.atomic_c)
+        pad_lanes = self.geometry.channel_groups(in_channels) - ic_real.size
+        # Row r of the im2col buffer holds (channel r // K^2, kernel elem
+        # r % K^2); the faulty lane touches every kernel element of its
+        # channels, i.e. the K^2-blocks starting at ic_real * K^2.
+        rows = (ic_real[:, None] * kernel_elems + np.arange(kernel_elems)[None, :]).ravel()
+        return oc_sel, ic_real, rows, pad_lanes * kernel_elems
 
     def _site_correction(
         self,
@@ -563,10 +708,9 @@ class VectorisedEngine:
         model: FaultModel,
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """Correction term added to ``acc[:, oc_sel, :]`` for one fault site."""
-        atomic_c = self.geometry.atomic_c
-        atomic_k = self.geometry.atomic_k
-
-        oc_sel = np.arange(site.mac_unit, out_channels, atomic_k)
+        oc_sel, ic_real, rows, pad_terms = self._site_lanes(
+            site, out_channels, in_channels, kernel_elems
+        )
         if oc_sel.size == 0:
             # The MAC unit only ever processes padded (discarded) kernels.
             return None
@@ -581,15 +725,6 @@ class VectorisedEngine:
             )
             return oc_sel, delta
 
-        ic_real = np.arange(site.multiplier, in_channels, atomic_c)
-        channel_groups = self.geometry.channel_groups(in_channels)
-        pad_lane_count = channel_groups - ic_real.size
-        pad_terms = pad_lane_count * kernel_elems
-
-        # Row r of the im2col buffer holds (channel r // K^2, kernel elem
-        # r % K^2); the faulty lane touches every kernel element of its
-        # channels, i.e. the K^2-blocks starting at ic_real * K^2.
-        rows = (ic_real[:, None] * kernel_elems + np.arange(kernel_elems)[None, :]).ravel()
         n_batch, _, positions = cols.shape
 
         constant = model.constant_override()
@@ -709,12 +844,17 @@ class VectorisedEngine:
         # An FC layer is a 1x1 convolution over a 1x1 feature map on this
         # datapath; reuse the convolution fault arithmetic with P == 1.
         w_mat = weight  # int8, (OUT, IN)
+
+        def cols_of(x: np.ndarray) -> np.ndarray:
+            return x.reshape(x.shape[0], in_features, 1)
+
         cols, acc, owned = self._clean_accumulate(
-            node.name, x_q, w_mat, lambda: x_q.reshape(n, in_features, 1),
+            node.name, x_q, w_mat, lambda: cols_of(x_q),
             reusable=reusable,
+            recompute=lambda: self._recompute(x_q, w_mat, cols_of, 1, in_features, 1, config),
         )
 
-        if config.enabled:
+        if config.enabled and cols is not None:
             self._validate_stage_combination(config)
             if not owned:
                 acc = acc.copy()

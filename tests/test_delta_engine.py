@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.accelerator.engine as engine_module
 from repro.accelerator.engine import (
     CleanAccumulatorCache,
     VectorisedEngine,
@@ -36,11 +37,13 @@ from repro.faults.models import (
     TransientPulse,
 )
 from repro.faults.sites import FaultSite
+from repro.quant.qlayers import QConv
 from repro.quant.qscheme import (
     RequantParams,
     requantize,
     requantize_owned,
 )
+from repro.runtime.gemm import GEMM_STATS
 
 from tests.conftest import make_qconv, make_qlinear, random_int8
 
@@ -238,6 +241,60 @@ class TestPlatformDeltaEquivalence:
         )
         assert baseline == reference.baseline_accuracy(images, labels, batch_size=8)
         assert accuracy == reference.accuracy_with_faults(config, images, labels, batch_size=8)
+
+    def test_constant_trial_folds_and_streams_recomputed_layers(
+        self, platforms, tiny_dataset, monkeypatch
+    ):
+        """A 7-site constant trial diverges at the stem, so the stem is the
+        only tape hit per chunk and pays one correction GEMM per site with a
+        real lane; every later conv/FC layer is recomputed with the faults
+        folded into its weights, one GEMM per stream block and none per
+        site.  The block budget is shrunk so the early layers split the
+        chunk into several blocks."""
+        monkeypatch.setattr(engine_module, "STREAM_BLOCK_BYTES", 1 << 17)
+        delta, reference = platforms
+        images = tiny_dataset.test_images[:16]
+        labels = tiny_dataset.test_labels[:16]
+        chunk = 8
+        delta.reset_caches()
+        delta.baseline_accuracy(images, labels, batch_size=chunk)
+        sites = [FaultSite(0, 0), FaultSite(1, 1), FaultSite(2, 2), FaultSite(3, 5),
+                 FaultSite(4, 7), FaultSite(5, 1), FaultSite(6, 4)]
+        config = InjectionConfig.uniform(sites, ConstantValue(5))
+
+        model = delta.loadable.model
+        gemm_nodes = model.conv_like_nodes()
+        stem = gemm_nodes[0]
+        qinput = model.input_node.quantize(images[:chunk])
+        segment = delta.accelerator.tape.segment_for((0, chunk), qinput)
+        expected_per_chunk = sum(
+            site.mac_unit < stem.out_channels and site.multiplier < stem.in_channels
+            for site in sites
+        )
+        split_layers = 0
+        for node in gemm_nodes[1:]:
+            if isinstance(node, QConv):
+                positions = int(np.prod(segment.entry(node.name).output.shape[2:]))
+                rows = node.in_channels * node.kernel_size ** 2
+            else:
+                positions, rows = 1, node.in_features
+            block = max(1, engine_module.STREAM_BLOCK_BYTES // (4 * rows * positions))
+            blocks = -(-chunk // block)
+            split_layers += blocks > 1
+            expected_per_chunk += blocks
+        assert split_layers > 0
+
+        tape = delta.accelerator.tape
+        hits, misses = tape.layer_hits, tape.layer_misses
+        calls = GEMM_STATS.total_calls
+        accuracy = delta.accuracy_with_faults(config, images, labels, batch_size=chunk)
+        chunks = len(images) // chunk
+        assert GEMM_STATS.total_calls - calls == chunks * expected_per_chunk
+        assert tape.layer_hits - hits == chunks
+        assert tape.layer_misses - misses == chunks * (len(gemm_nodes) - 1)
+        assert accuracy == reference.accuracy_with_faults(
+            config, images, labels, batch_size=chunk
+        )
 
     def test_tape_stats_report_reuse(self, platforms, tiny_dataset):
         delta, _ = platforms

@@ -7,13 +7,17 @@ vectorised engine computes exactly what the per-multiplier hardware model
 computes, for clean runs and for every fault model.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import repro.accelerator.engine as engine_module
 from repro.accelerator.engine import VectorisedEngine
 from repro.accelerator.geometry import ArrayGeometry, PAPER_GEOMETRY
 from repro.accelerator.reference import ScalarReferenceEngine
+from repro.accelerator.tape import CleanForwardTape
 from repro.faults.injector import InjectionConfig
 from repro.faults.models import (
     AccumulatorStuckAt,
@@ -24,6 +28,8 @@ from repro.faults.models import (
     TransientCycleFault,
 )
 from repro.faults.sites import FaultSite, FaultUniverse
+from repro.nn.functional import conv_output_size
+from repro.runtime.gemm import GEMM_STATS
 from repro.utils.bitops import PARTIAL_SUM_WIDTH
 
 from tests.conftest import make_qconv, make_qlinear, random_int8
@@ -422,6 +428,136 @@ class TestFaultEffectProperties:
             x, node, InjectionConfig.uniform([site_a, site_b], ConstantValue(3))
         )
         np.testing.assert_array_equal(both - clean, (only_a - clean) + (only_b - clean))
+
+
+def recomputing_engine() -> VectorisedEngine:
+    """An engine whose every layer is recomputed, as on a diverged trial.
+
+    A tape-armed chunk without a segment skips the tape lookup, so the layer
+    takes the fold-and-stream recompute path rather than the clean-GEMM +
+    per-site correction path of a bare engine.
+    """
+    engine = VectorisedEngine(PAPER_GEOMETRY, tape=CleanForwardTape(max_bytes=1 << 20))
+    engine.tape_chunk_active = True
+    return engine
+
+
+CONSTANT_MODELS = st.one_of(
+    st.integers(-(1 << 17), (1 << 17) - 1).map(ConstantValue),
+    st.just(StuckAtZero()),
+    st.just(StuckAtOne()),
+)
+
+
+class TestFoldedStreamedEquivalence:
+    """The recompute path folds constant faults into the weights and streams
+    its GEMM over image blocks; it must equal the per-site correction path
+    and the scalar reference bit for bit, including padding lanes, MAC units
+    with no output channel, pad-only multipliers and blocks that split the
+    batch."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        in_channels=st.integers(1, 20),
+        out_channels=st.integers(1, 12),
+        kernel=st.sampled_from([1, 3]),
+        stride=st.sampled_from([1, 2]),
+        spatial=st.integers(3, 5),
+        batch=st.integers(1, 4),
+        block_images=st.integers(1, 3),
+        sites=st.lists(
+            st.tuples(st.integers(0, 7), st.integers(0, 7)),
+            min_size=1, max_size=7, unique=True,
+        ),
+        models=st.lists(CONSTANT_MODELS, min_size=7, max_size=7),
+        seed=st.integers(0, 1000),
+    )
+    # Pinned corners: padding lanes, MAC units without an output channel,
+    # pad-only multipliers and a batch that straddles stream blocks.
+    @example(
+        in_channels=11, out_channels=5, kernel=3, stride=2, spatial=5, batch=4,
+        block_images=3, sites=[(0, 3), (6, 1), (2, 7), (4, 4), (1, 0), (7, 6), (3, 2)],
+        models=[ConstantValue(-7), StuckAtOne(), StuckAtZero(), ConstantValue(300),
+                StuckAtOne(), ConstantValue(1), StuckAtZero()],
+        seed=5,
+    )
+    @example(
+        in_channels=3, out_channels=12, kernel=1, stride=1, spatial=4, batch=3,
+        block_images=1, sites=[(5, 4), (2, 0)],
+        models=[ConstantValue(-(1 << 17))] + [StuckAtOne()] * 6,
+        seed=9,
+    )
+    def test_constant_configs_match_correction_path_and_scalar(
+        self, in_channels, out_channels, kernel, stride, spatial, batch,
+        block_images, sites, models, seed,
+    ):
+        padding = kernel // 2
+        node, x = conv_case(
+            in_channels, out_channels, kernel, stride, padding, spatial,
+            batch=batch, seed=seed,
+        )
+        config = InjectionConfig(faults={
+            FaultSite(mac, mul): model for (mac, mul), model in zip(sites, models)
+        })
+        positions = conv_output_size(spatial, kernel, stride, padding) ** 2
+        column_bytes = 4 * in_channels * kernel * kernel * positions
+        engine = recomputing_engine()
+        with mock.patch.object(engine_module, "STREAM_BLOCK_BYTES", block_images * column_bytes), \
+                mock.patch.object(engine, "_apply_config", wraps=engine._apply_config) as corrections:
+            calls = GEMM_STATS.total_calls
+            folded = engine.conv_accumulate(x, node, config)
+            streamed_gemms = GEMM_STATS.total_calls - calls
+        # One GEMM per stream block and no per-site correction.
+        assert streamed_gemms == -(-batch // block_images)
+        corrections.assert_not_called()
+        corrected = VectorisedEngine(PAPER_GEOMETRY).conv_accumulate(x, node, config)
+        ref = ScalarReferenceEngine(PAPER_GEOMETRY).conv_accumulate(x, node, config)
+        np.testing.assert_array_equal(folded, corrected)
+        np.testing.assert_array_equal(folded, ref)
+
+    def test_fault_free_stream_matches_single_gemm(self):
+        node, x = conv_case(8, 12, 3, 1, 1, 5, batch=5, seed=4)
+        engine = recomputing_engine()
+        # Two images of float32 columns (72 rows x 25 positions) per block.
+        with mock.patch.object(engine_module, "STREAM_BLOCK_BYTES", 2 * 4 * 72 * 25):
+            calls = GEMM_STATS.total_calls
+            streamed = engine.conv_accumulate(x, node)
+            assert GEMM_STATS.total_calls - calls == 3
+        np.testing.assert_array_equal(streamed, VectorisedEngine().conv_accumulate(x, node))
+
+    def test_linear_fold_matches_correction_path(self):
+        node = make_qlinear(19, 10, final=True, seed=8)
+        x = random_int8((3, 19), seed=9)
+        config = InjectionConfig(faults={
+            FaultSite(1, 2): ConstantValue(-5),
+            FaultSite(2, 3): StuckAtOne(),  # channels 3, 11 and one padding lane
+            FaultSite(1, 7): StuckAtZero(),
+        })
+        engine = recomputing_engine()
+        with mock.patch.object(engine, "_apply_config", wraps=engine._apply_config) as corrections:
+            folded = engine.linear_accumulate(x, node, config)
+        corrections.assert_not_called()
+        np.testing.assert_array_equal(
+            folded, VectorisedEngine().linear_accumulate(x, node, config)
+        )
+        np.testing.assert_array_equal(
+            folded, ScalarReferenceEngine().linear_accumulate(x, node, config)
+        )
+
+    @pytest.mark.parametrize("case", [(5, 9, 3, 1, 1, 4), (12, 6, 3, 2, 1, 5)])
+    def test_mixed_constant_and_bitflip_takes_correction_path(self, case):
+        node, x = conv_case(*case, batch=3, seed=13)
+        config = InjectionConfig(faults={
+            FaultSite(0, 1): ConstantValue(9),
+            FaultSite(3, 4): StuckAtOne(),
+            FaultSite(5, 2): BitFlip(6),
+        })
+        engine = recomputing_engine()
+        with mock.patch.object(engine, "_apply_config", wraps=engine._apply_config) as corrections:
+            vec = engine.conv_accumulate(x, node, config)
+        corrections.assert_called_once()
+        np.testing.assert_array_equal(vec, VectorisedEngine().conv_accumulate(x, node, config))
+        np.testing.assert_array_equal(vec, ScalarReferenceEngine().conv_accumulate(x, node, config))
 
 
 class TestAcceleratorVsCPUBackend:

@@ -19,6 +19,14 @@ serial run** for any worker count and across interrupt/resume:
   :class:`PlatformSpec` and streams one record per finished trial back to
   the parent, which appends it to a JSONL checkpoint file.
 
+Every campaign runs in rounds (:func:`campaign_rounds`): a fixed budget is
+the single round ``[(0, total)]`` and an adaptive plan supplies its own.
+One loop walks them, handing each round's pending indices to an executor —
+in process for ``workers=1``, a persistent worker pool otherwise — and
+:func:`round_progress`, the round rule the fleet coordinator applies too,
+decides how many rounds are complete, whether the campaign stops and which
+records its result keeps.
+
 Checkpoint format (one JSON object per line)::
 
     {"kind": "header", "version": 1, "strategy": ..., "seed": ...,
@@ -53,8 +61,9 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -64,7 +73,7 @@ from repro.core.platform import EmulationPlatform, PlatformConfig
 from repro.core.results import CampaignResult, TrialRecord
 from repro.core.shm import SharedBatch, release_batch, resolve_batch
 from repro.core.stats import AdaptiveCampaignPlan
-from repro.core.strategies import InjectionStrategy, StrategyTrial
+from repro.core.strategies import InjectionStrategy
 from repro.core.supervisor import (
     LeaseSupervisor,
     RecoveryLog,
@@ -273,72 +282,138 @@ def shard_indices(indices: Sequence[int], workers: int) -> list[list[int]]:
     return [shard for shard in shards if shard]
 
 
-def _build_record(
-    trial: StrategyTrial, index: int, baseline: float, accuracy: float
-) -> TrialRecord:
-    return TrialRecord(
-        trial_index=index,
-        description=trial.config.describe(),
-        num_faults=trial.num_faults,
-        injected_value=trial.injected_value,
-        mac_unit=trial.mac_unit,
-        multiplier=trial.multiplier,
-        accuracy=accuracy,
-        accuracy_drop=baseline - accuracy,
-        metadata=dict(trial.metadata),
-    )
-
-
-def _record_for_trial(
+def records_for_indices(
     platform: EmulationPlatform,
-    trial: StrategyTrial,
-    index: int,
-    baseline: float,
-    images: np.ndarray,
-    labels: np.ndarray,
-    batch_size: int,
-) -> TrialRecord:
-    """Evaluate one trial and build its record (shared by serial + workers)."""
-    accuracy = platform.accuracy_with_faults(trial.config, images, labels, batch_size=batch_size)
-    return _build_record(trial, index, baseline, accuracy)
-
-
-def _records_for_pairs(
-    platform: EmulationPlatform,
-    pairs: Sequence[tuple[int, StrategyTrial]],
+    strategy: InjectionStrategy,
+    indices: Sequence[int],
     baseline: float,
     images: np.ndarray,
     labels: np.ndarray,
     config: CampaignConfig,
-):
-    """Yield records for ``(index, trial)`` pairs, fusing groups of trials.
+) -> Iterator[TrialRecord]:
+    """Yield the records of trials ``indices`` evaluated on ``platform``.
 
-    Consecutive pairs are evaluated ``config.fused_trials`` at a time
-    through :meth:`EmulationPlatform.accuracies_with_faults`, which runs
-    fusable configurations as stacked multi-trial engine passes and the
-    rest one at a time — the records are bit-identical to per-trial
-    evaluation for any group size, so sharding, resuming and fusing
-    compose freely.
+    The one evaluation path of every executor — the in-process one, a pool
+    worker and a fleet node — so records are bit-identical wherever a trial
+    runs.  Trial *i* is ``strategy.trial_at(..., i)``; a sequential strategy
+    that implements only ``trials()`` is streamed instead, skipping the
+    indices not asked for.  Consecutive trials are evaluated
+    ``config.fused_trials`` at a time through
+    :meth:`EmulationPlatform.accuracies_with_faults`, which runs fusable
+    configurations as stacked multi-trial engine passes and the rest one at
+    a time — the records are bit-identical to per-trial evaluation for any
+    group size, so sharding, resuming and fusing compose freely.
     """
-    group = max(1, config.fused_trials)
-    for start in range(0, len(pairs), group):
-        chunk = pairs[start : start + group]
-        if len(chunk) == 1:
-            index, trial = chunk[0]
-            yield _record_for_trial(
-                platform, trial, index, baseline, images, labels, config.batch_size
-            )
-            continue
-        accuracies = platform.accuracies_with_faults(
-            [trial.config for _, trial in chunk],
-            images,
-            labels,
-            batch_size=config.batch_size,
+    rng = SeededRNG(config.seed)
+    universe = platform.universe
+    if strategy.supports_random_access:
+        pairs = ((index, strategy.trial_at(universe, rng, index)) for index in indices)
+    else:
+        wanted = set(indices)
+        pairs = (
+            pair for pair in enumerate(strategy.trials(universe, rng)) if pair[0] in wanted
         )
+    group = max(1, config.fused_trials)
+    while chunk := list(islice(pairs, group)):
+        configs = [trial.config for _, trial in chunk]
+        if len(configs) == 1:
+            accuracies = [platform.accuracy_with_faults(
+                configs[0], images, labels, batch_size=config.batch_size
+            )]
+        else:
+            accuracies = platform.accuracies_with_faults(
+                configs, images, labels, batch_size=config.batch_size
+            )
         for (index, trial), accuracy in zip(chunk, accuracies):
-            yield _build_record(trial, index, baseline, accuracy)
+            yield TrialRecord(
+                trial_index=index,
+                description=trial.config.describe(),
+                num_faults=trial.num_faults,
+                injected_value=trial.injected_value,
+                mac_unit=trial.mac_unit,
+                multiplier=trial.multiplier,
+                accuracy=accuracy,
+                accuracy_drop=baseline - accuracy,
+                metadata=dict(trial.metadata),
+            )
 
 
+# ----------------------------------------------------------------------
+# The round rule (shared with the fleet's lease book)
+# ----------------------------------------------------------------------
+def campaign_rounds(plan: AdaptiveCampaignPlan | None, total: int) -> list[tuple[int, int]]:
+    """Half-open trial-index ranges a campaign runs in, one round at a time.
+
+    A fixed budget is the single round ``[(0, total)]``; an adaptive plan
+    partitions its (possibly capped) budget into rounds of its own size.
+    """
+    if plan is None:
+        return [(0, total)]
+    return plan.round_bounds(plan.budget(total))
+
+
+@dataclass(frozen=True)
+class RoundProgress:
+    """Where a campaign stands in its rounds (see :func:`round_progress`)."""
+
+    #: Leading rounds with a record for every trial index.
+    rounds: int = 0
+    #: Trial-index bound of those rounds.
+    end: int = 0
+    #: No further round runs.
+    stopped: bool = False
+    #: Trials missing from the round whose holes ended the campaign.
+    missing: int = 0
+    #: An adaptive plan's result keeps only its complete rounds' records.
+    adaptive: bool = False
+
+    def kept(self, records: dict[int, TrialRecord]) -> list[TrialRecord]:
+        """The records a result keeps, in trial-index order.
+
+        A fixed budget keeps every record.  An adaptive plan keeps only the
+        records of its complete rounds: its estimate, and the stopping
+        decision behind it, cover exactly those.
+        """
+        indices = range(self.end) if self.adaptive else sorted(records)
+        return [records[index] for index in indices]
+
+
+def round_progress(
+    plan: AdaptiveCampaignPlan | None,
+    bounds: Sequence[tuple[int, int]],
+    records: dict[int, TrialRecord],
+    since: RoundProgress | None = None,
+) -> RoundProgress:
+    """The one round rule of every campaign, local or fleet.
+
+    Walks the rounds after ``since`` (all of them when ``None``, e.g. on
+    resume): a round is complete once every index in it has a record, and
+    after each complete round the plan's stopping rule — a pure function
+    of the complete rounds' records — may end the campaign, as does the
+    last round completing.  ``since`` means round ``since.rounds`` has just
+    been run to settlement; if it still has holes (trials of a quarantined
+    poison shard), the campaign ends at the last complete round.  Without
+    ``since``, holes are just work left to do.
+    """
+    if since is not None and since.stopped:
+        return since
+    rounds, end = (since.rounds, since.end) if since is not None else (0, 0)
+    adaptive = plan is not None
+    for start, stop in bounds[rounds:]:
+        missing = sum(1 for index in range(start, stop) if index not in records)
+        if missing:
+            if since is not None and rounds == since.rounds:
+                return RoundProgress(rounds, end, True, missing, adaptive)
+            return RoundProgress(rounds, end, False, 0, adaptive)
+        rounds, end = rounds + 1, stop
+        if adaptive and plan.should_stop(rounds, [records[index] for index in range(stop)]):
+            break
+    return RoundProgress(rounds, end, True, 0, adaptive)
+
+
+# ----------------------------------------------------------------------
+# Pool workers
+# ----------------------------------------------------------------------
 def _worker_setup(config: CampaignConfig) -> None:
     """Reset per-process counters a forked worker inherited from the parent."""
     # Ctrl-C belongs to the parent: it terminates the pool, flushes the
@@ -362,59 +437,14 @@ def _worker_setup(config: CampaignConfig) -> None:
     TELEMETRY.disable_inherited()
 
 
-def _worker_stats(platform: EmulationPlatform) -> dict:
-    """Execution statistics one process ships back for aggregation."""
+def _process_stats(platform: EmulationPlatform, gemm: dict, profile: bool) -> dict:
+    """Execution statistics one process contributes to ``runtime_stats``."""
     return {
-        "gemm": GEMM_STATS.as_dict(),
+        "gemm": gemm,
         "clean_cache": platform.gemm_cache_stats(),
         "tape": platform.tape_stats(),
-        "profile": PROFILER.as_dict() if PROFILER.enabled else None,
+        "profile": PROFILER.as_dict() if profile else None,
     }
-
-
-def _shard_worker(
-    token: tuple[int, int],
-    spec: PlatformSpec,
-    strategy: InjectionStrategy,
-    config: CampaignConfig,
-    batch,
-    indices: list[int],
-    results: mp.Queue,
-) -> None:
-    """Worker entry point: build the platform once, evaluate one shard.
-
-    ``token`` is the ``(lease_id, attempt)`` pair identifying this service
-    of the shard; it tags every message so the supervisor can tell the
-    current attempt's lifecycle messages from a stale attempt's stragglers.
-    ``batch`` is either a zero-copy :class:`~repro.core.shm.SharedBatch`
-    (mapped, not pickled) or a plain ``(images, labels)`` tuple.
-    """
-    try:
-        _worker_setup(config)
-        monkey = ChaosMonkey(config.chaos, token[0], token[1], results)
-        images, labels = resolve_batch(batch)
-        platform = spec.build()
-        platform.reset_caches()
-        baseline = platform.baseline_accuracy(images, labels, batch_size=config.batch_size)
-        results.put(("meta", token, (baseline, platform.inferences_per_second())))
-        monkey.on_record(0)
-        rng = SeededRNG(config.seed)
-        pairs = [
-            (index, strategy.trial_at(platform.universe, rng, index)) for index in indices
-        ]
-        emitted = 0
-        for record in _records_for_pairs(
-            platform, pairs, baseline, images, labels, config
-        ):
-            results.put(("record", token, record))
-            emitted += 1
-            monkey.on_record(emitted)
-        results.put(("stats", token, _worker_stats(platform)))
-        results.put(("done", token, None))
-    except Exception:  # pragma: no cover - exercised via the parent's error path
-        results.put(("error", token, traceback.format_exc()))
-    finally:
-        release_batch(batch)
 
 
 def _round_worker(
@@ -426,17 +456,19 @@ def _round_worker(
     tasks: mp.Queue,
     results: mp.Queue,
 ) -> None:
-    """Persistent worker for adaptive campaigns: evaluates rounds on demand.
+    """Pool worker entry point: build the platform once, then serve leases.
 
-    Unlike :func:`_shard_worker` (whole shard known up front), an adaptive
-    campaign decides after every round whether more trials are needed, so
-    workers stay alive between rounds: build the platform once, then serve
-    index batches from ``tasks`` until the ``None`` sentinel arrives.  The
-    ``round-done`` message completes the worker's lease for that round.
+    Every item from ``tasks`` is one lease's trial indices: the worker
+    streams one ``record`` per trial, then ``done`` to complete the lease,
+    and stays warm for the next round until the ``None`` sentinel retires
+    it with a final ``stats`` message.  ``batch`` is either a zero-copy
+    :class:`~repro.core.shm.SharedBatch` (mapped, not pickled) or a plain
+    ``(images, labels)`` tuple.
 
-    ``token`` is ``(pool slot, epoch)``: the epoch bumps every time the
-    slot's process is respawned after a death or hang, so a terminated
-    worker's late messages can never complete a later epoch's round.
+    ``token`` is ``(pool slot, epoch)`` and tags every message: the epoch
+    bumps every time the slot's process is respawned after a death or hang,
+    so a terminated worker's late messages can never complete a later
+    attempt's lease.
     """
     try:
         _worker_setup(config)
@@ -447,25 +479,17 @@ def _round_worker(
         baseline = platform.baseline_accuracy(images, labels, batch_size=config.batch_size)
         results.put(("meta", token, (baseline, platform.inferences_per_second())))
         monkey.on_record(0)
-        rng = SeededRNG(config.seed)
         emitted = 0
-        while True:
-            indices = tasks.get()
-            if indices is None:
-                break
-            pairs = [
-                (index, strategy.trial_at(platform.universe, rng, index))
-                for index in indices
-            ]
-            for record in _records_for_pairs(
-                platform, pairs, baseline, images, labels, config
+        for indices in iter(tasks.get, None):
+            for record in records_for_indices(
+                platform, strategy, indices, baseline, images, labels, config
             ):
                 results.put(("record", token, record))
                 emitted += 1
                 monkey.on_record(emitted)
-            results.put(("round-done", token, None))
-        results.put(("stats", token, _worker_stats(platform)))
-        results.put(("done", token, None))
+            results.put(("done", token, None))
+        stats = _process_stats(platform, GEMM_STATS.as_dict(), config.profile)
+        results.put(("stats", token, stats))
     except Exception:  # pragma: no cover - exercised via the parent's error path
         results.put(("error", token, traceback.format_exc()))
     finally:
@@ -474,7 +498,7 @@ def _round_worker(
 
 @dataclass
 class _PoolSlot:
-    """One persistent adaptive-worker slot; the epoch bumps on respawn."""
+    """One persistent pool-worker slot; the epoch bumps on respawn."""
 
     slot_id: int
     proc: object | None = None
@@ -483,12 +507,250 @@ class _PoolSlot:
 
 
 # ----------------------------------------------------------------------
+# One run's merge point and its two executors
+# ----------------------------------------------------------------------
+class _Ledger:
+    """Baseline, records and checkpoint of one run.
+
+    Both executors report here, so what reaches the checkpoint and the
+    result does not depend on where a trial ran.  Records are written one
+    line per record, as each arrives.
+    """
+
+    def __init__(
+        self,
+        runner: "ParallelCampaignRunner",
+        header: dict | None,
+        completed: dict[int, TrialRecord],
+        num_images: int,
+        total: int,
+    ):
+        self.runner = runner
+        self.records = dict(completed)
+        self.num_images = num_images
+        self.total = total
+        self.baseline: float | None = None
+        self.ips: float | None = None
+        self.reference = "the checkpoint header"
+        if header is not None:
+            self.baseline = header["baseline_accuracy"]
+            self.ips = header.get("emulated_inferences_per_second")
+        self.header_written = header is not None
+        self.writer = runner._open_checkpoint(fresh=header is None)
+
+    def meta(self, baseline: float, ips: float | None) -> None:
+        if self.baseline is None:
+            self.baseline, self.ips = baseline, ips
+            self.reference = "another worker"
+        else:
+            # Every process must reproduce the exact same baseline — this
+            # is the determinism invariant the records rely on.
+            self.runner._check_baseline(baseline, self.baseline, self.reference)
+        if not self.header_written:
+            self.runner._write_header(self.writer, self.baseline, self.ips, self.num_images)
+            self.header_written = True
+
+    def record(self, record: TrialRecord) -> None:
+        self.records[record.trial_index] = record
+        self.runner._write_record(self.writer, record)
+        log_every = self.runner.config.log_every
+        if log_every and len(self.records) % log_every == 0:
+            logger.info(
+                "completed %d/%d trials (trial %d: %s -> accuracy %.3f, drop %.3f)",
+                len(self.records), self.total, record.trial_index,
+                record.description, record.accuracy, record.accuracy_drop,
+            )
+
+    def close(self) -> None:
+        if self.writer is not None:
+            self.writer.close()
+
+
+class _InProcessExecutor:
+    """Runs every round in this process, on the runner's own platform."""
+
+    recovery = None
+
+    def __init__(self, runner: "ParallelCampaignRunner", ledger: _Ledger, images, labels):
+        cfg = runner.config
+        self.runner, self.ledger = runner, ledger
+        self.images, self.labels = images, labels
+        platform = runner.platform if runner.platform is not None else runner.spec.build()
+        # Fresh cache/tape per run: deterministic memory profile, and reused
+        # platforms (serial campaigns) don't carry entries across campaigns.
+        platform.reset_caches()
+        self.platform = platform
+        self.gemm_before = GEMM_STATS.as_dict()
+        if cfg.profile:
+            PROFILER.enabled = True
+            PROFILER.reset()
+        self.baseline = platform.baseline_accuracy(images, labels, batch_size=cfg.batch_size)
+        ledger.meta(self.baseline, platform.inferences_per_second())
+
+    def __enter__(self) -> "_InProcessExecutor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+    def run_round(self, indices: list[int]) -> None:
+        for record in records_for_indices(
+            self.platform, self.runner.strategy, indices, self.baseline,
+            self.images, self.labels, self.runner.config,
+        ):
+            self.ledger.record(record)
+
+    def finish(self) -> dict | None:
+        gemm = {
+            key: value - self.gemm_before.get(key, 0)
+            for key, value in GEMM_STATS.as_dict().items()
+        }
+        part = _process_stats(self.platform, gemm, self.runner.config.profile)
+        return ParallelCampaignRunner._aggregate_runtime_stats([part], workers=1)
+
+
+class _PoolExecutor:
+    """Runs every round on persistent :func:`_round_worker` processes.
+
+    Each round's pending indices are sharded round-robin into one
+    :class:`~repro.core.supervisor.ShardLease` per pool slot and driven by a
+    :class:`~repro.core.supervisor.LeaseSupervisor`.  A healthy slot keeps
+    its warm worker (platform already built) across rounds; a slot whose
+    worker died or hung gets a fresh process under a bumped epoch.
+    """
+
+    def __init__(self, runner: "ParallelCampaignRunner", ledger: _Ledger, images, labels):
+        self.runner, self.ledger = runner, ledger
+        self.images, self.labels = images, labels
+        # fork is cheap (the spec crosses the process boundary by page
+        # sharing, not pickling) but only reliably safe on Linux; macOS
+        # frameworks (Accelerate, libdispatch) are not fork-safe.
+        method = runner.start_method or (
+            "fork"
+            if sys.platform == "linux" and "fork" in mp.get_all_start_methods()
+            else "spawn"
+        )
+        self.ctx = mp.get_context(method)
+        self.results: mp.Queue = self.ctx.Queue()
+        self.slots = [_PoolSlot(slot_id) for slot_id in range(runner.workers)]
+        self.recovery = RecoveryLog()
+        self.stats_parts: list[dict] = []
+        # Made on the first round with work, and unlinked by __exit__:
+        # workers release their attachment in a `finally`, but a worker
+        # killed mid-trial never runs it, so the parent is the only thing
+        # standing between an abnormal exit and a leaked /dev/shm segment.
+        self.batch = None
+        self.shared = None
+
+    def __enter__(self) -> "_PoolExecutor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for slot in self.slots:
+            terminate_process(slot.proc)
+        if self.shared is not None:
+            self.shared.unlink()
+
+    def run_round(self, indices: list[int]) -> None:
+        if not indices:
+            return
+        if self.batch is None:
+            self.batch, self.shared = self.runner._make_batch(self.images, self.labels)
+        cfg = self.runner.config
+        shards = shard_indices(indices, self.runner.workers)
+        LeaseSupervisor(
+            [ShardLease(slot_id, shard) for slot_id, shard in enumerate(shards)],
+            results=self.results,
+            spawn=self._spawn,
+            reap=self._reap,
+            handle=self._handle,
+            max_retries=cfg.max_shard_retries,
+            timeout=cfg.shard_timeout,
+            backoff=cfg.retry_backoff,
+            poison_policy=cfg.poison_policy,
+            recovery=self.recovery,
+        ).run()
+
+    def _handle(self, kind: str, payload) -> None:
+        if kind == "meta":
+            self.ledger.meta(*payload)
+        elif kind == "record":
+            self.ledger.record(payload)
+
+    def _spawn(self, lease: ShardLease) -> tuple[object, tuple[int, int]]:
+        # Lease ids are pool slot ids.  A re-leased shard serves only what
+        # its failed worker left behind; records are keyed by index, so
+        # re-running a subset is byte-identical to running it once.
+        slot = self.slots[lease.lease_id]
+        if slot.proc is None or not slot.proc.is_alive():
+            slot.epoch += 1
+            slot.tasks = self.ctx.Queue()
+            slot.proc = self.ctx.Process(
+                target=_round_worker,
+                args=((slot.slot_id, slot.epoch), self.runner.spec, self.runner.strategy,
+                      self.runner.config, self.batch, slot.tasks, self.results),
+                daemon=True,
+            )
+            slot.proc.start()
+        slot.tasks.put(sorted(lease.remaining))
+        return slot.proc, (slot.slot_id, slot.epoch)
+
+    def _reap(self, lease: ShardLease, failed: bool) -> None:
+        if failed:
+            # The slot's worker is unusable (dead, hung or erroring): stop
+            # it so the next attempt respawns under a new epoch.
+            terminate_process(self.slots[lease.lease_id].proc)
+        # failed=False: keep the persistent worker warm for later rounds.
+
+    def finish(self, deadline: float = 30.0) -> dict | None:
+        """Retire surviving workers, collecting their final stats.
+
+        Deadline-aware: a worker that dies or hangs while retiring forfeits
+        its stats (they are observational) instead of stalling the campaign.
+        """
+        waiting = set()
+        for slot in self.slots:
+            if slot.proc is not None and slot.proc.is_alive():
+                slot.tasks.put(None)
+                waiting.add(slot.slot_id)
+        deadline_at = time.monotonic() + deadline
+        while waiting and time.monotonic() < deadline_at:
+            try:
+                kind, (slot_id, epoch), payload = self.results.get(timeout=0.25)
+            except queue_module.Empty:
+                waiting -= {s for s in waiting if not self.slots[s].proc.is_alive()}
+                continue
+            if epoch != self.slots[slot_id].epoch:
+                continue  # a terminated epoch's stragglers
+            if kind == "stats":
+                self.stats_parts.append(payload)
+                waiting.discard(slot_id)
+                self.slots[slot_id].proc.join()
+            elif kind in ("record", "meta"):
+                # Late but valid data from the current epoch (deterministic,
+                # deduplicated by trial index).
+                self._handle(kind, payload)
+        for slot_id in waiting:  # pragma: no cover - retirement stall
+            logger.warning(
+                "pool worker %d did not retire within %.0fs; terminating", slot_id, deadline
+            )
+            terminate_process(self.slots[slot_id].proc)
+        return ParallelCampaignRunner._aggregate_runtime_stats(
+            self.stats_parts, self.runner.workers
+        )
+
+
+# ----------------------------------------------------------------------
 # The runner
 # ----------------------------------------------------------------------
 class ParallelCampaignRunner:
-    """Executes a campaign's trials across a pool of worker processes.
+    """Executes a campaign's trials in rounds, in process or on a worker pool.
 
-    Serial execution (``workers=1``) is the special case used by
+    One loop serves every mode: it loads the resume state, walks the
+    campaign's rounds (:func:`campaign_rounds` — a fixed budget is one
+    round) and hands each round's pending indices to an executor, applying
+    :func:`round_progress` after each.  Serial execution (``workers=1``) is
+    the in-process executor, used by
     :class:`~repro.core.campaign.FaultInjectionCampaign`; it accepts either
     an already-built :class:`~repro.core.platform.EmulationPlatform` or a
     :class:`PlatformSpec`.  Parallel execution requires a spec (platforms do
@@ -585,26 +847,98 @@ class ParallelCampaignRunner:
             resumed=len(completed),
         ) as span:
             try:
-                if self.plan is not None:
-                    if self.workers == 1:
-                        result = self._run_serial_adaptive(images, labels, header, completed)
-                    else:
-                        result = self._run_parallel_adaptive(images, labels, header, completed)
-                elif self.workers == 1:
-                    result = self._run_serial(images, labels, header, completed)
-                else:
-                    result = self._run_parallel(images, labels, header, completed)
+                result = self._run_rounds(images, labels, header, completed)
             finally:
-                # The serial paths arm the process-global profiler when
-                # config.profile is set; restore it even when a run raises so
-                # later campaigns in this process don't silently pay for (and
-                # pollute) profiling state.
+                # The in-process executor arms the process-global profiler
+                # when config.profile is set; restore it even when a run
+                # raises so later campaigns in this process don't silently
+                # pay for (and pollute) profiling state.
                 PROFILER.enabled = profiler_was_enabled
             result.wall_seconds = time.perf_counter() - start
             result.sort_records()
             span["num_records"] = len(result)
         self._emit_runtime_telemetry(result)
         return result
+
+    def _run_rounds(
+        self,
+        images: np.ndarray,
+        labels: np.ndarray,
+        header: dict | None,
+        completed: dict[int, TrialRecord],
+    ) -> CampaignResult:
+        """The one run loop: walk the rounds, one executor call per round."""
+        plan = self.plan
+        total = self._trial_count()
+        bounds = campaign_rounds(plan, total)
+        ledger = _Ledger(self, header, completed, len(labels), total)
+        records = ledger.records
+        progress = round_progress(plan, bounds, records)
+        # A pool needs work to report a baseline; with nothing to run and no
+        # header to take it from, the in-process executor establishes it.
+        in_process = self.workers == 1 or (progress.stopped and header is None)
+        executor_type = _InProcessExecutor if in_process else _PoolExecutor
+        try:
+            with executor_type(self, ledger, images, labels) as executor:
+                while not progress.stopped:
+                    start, end = bounds[progress.rounds]
+                    executor.run_round([i for i in range(start, end) if i not in records])
+                    progress = round_progress(plan, bounds, records, since=progress)
+                    self._log_round(progress, bounds, records)
+                runtime_stats = executor.finish()
+        finally:
+            ledger.close()
+
+        if ledger.baseline is None:
+            # No worker survived long enough to report a baseline (every
+            # shard quarantined before its meta message) and the header
+            # carried none either.
+            raise RuntimeError("campaign finished without establishing a baseline accuracy")
+        result = CampaignResult(
+            baseline_accuracy=ledger.baseline,
+            strategy=self.strategy.name,
+            num_images=len(labels),
+            seed=self.config.seed,
+            emulated_inferences_per_second=ledger.ips,
+        )
+        result.records = progress.kept(records)
+        if plan is not None:
+            budget = plan.budget(total)
+            interval = plan.interval(result.records)
+            result.adaptive = {
+                "plan": plan.to_dict(),
+                "budget": budget,
+                "rounds_completed": progress.rounds,
+                "trials_evaluated": progress.end,
+                "stopped_early": progress.end < budget,
+                "final_half_width": interval.half_width if interval is not None else None,
+                "final_interval": interval.to_dict() if interval is not None else None,
+            }
+        result.runtime_stats = runtime_stats
+        if executor.recovery is not None:
+            result.recovery = self._recovery_dict(executor.recovery)
+        return result
+
+    def _log_round(
+        self,
+        progress: RoundProgress,
+        bounds: list[tuple[int, int]],
+        records: dict[int, TrialRecord],
+    ) -> None:
+        if progress.missing:
+            logger.error(
+                "round %d is missing %d trial(s) from poison shard(s); "
+                "the campaign ends after round %d",
+                progress.rounds + 1, progress.missing, progress.rounds,
+            )
+        elif self.plan is not None and self.config.log_every:
+            interval = self.plan.interval(progress.kept(records))
+            logger.info(
+                "round %d/%d (%d trials): half-width %s (target %g)",
+                progress.rounds, len(bounds), progress.end,
+                "n/a" if interval is None else f"{interval.half_width:.4f}",
+                self.plan.target_half_width,
+            )
 
     # ------------------------------------------------------------------
     # Resume / checkpoint plumbing
@@ -619,6 +953,19 @@ class ParallelCampaignRunner:
             return self.strategy.expected_trials(self._universe())
         except NotImplementedError:
             return None
+
+    def _trial_count(self) -> int:
+        """Size of the trial index space.
+
+        A sequential strategy (only ``trials()``) has no
+        ``expected_trials()``, so its stream is counted: generating a trial
+        is cheap next to evaluating it.
+        """
+        total = self._total_trials()
+        if total is None:
+            rng = SeededRNG(self.config.seed)
+            total = sum(1 for _ in self.strategy.trials(self._universe(), rng))
+        return total
 
     def _load_resume_state(self, num_images: int) -> tuple[dict | None, dict[int, TrialRecord]]:
         """Load and validate the checkpoint; returns (header, completed records)."""
@@ -807,27 +1154,6 @@ class ParallelCampaignRunner:
             workers=stats.get("workers"),
         )
 
-    def _serial_stats_begin(self) -> None:
-        self._gemm_before = GEMM_STATS.as_dict()
-        self._profiler_was_enabled = PROFILER.enabled
-        if self.config.profile:
-            PROFILER.enabled = True
-            PROFILER.reset()
-
-    def _serial_stats_end(self, platform: EmulationPlatform) -> dict | None:
-        delta = {
-            key: value - self._gemm_before.get(key, 0)
-            for key, value in GEMM_STATS.as_dict().items()
-        }
-        part = {
-            "gemm": delta,
-            "clean_cache": platform.gemm_cache_stats(),
-            "tape": platform.tape_stats(),
-            "profile": PROFILER.as_dict() if self.config.profile else None,
-        }
-        PROFILER.enabled = self._profiler_was_enabled
-        return self._aggregate_runtime_stats([part], workers=1)
-
     def _make_batch(self, images: np.ndarray, labels: np.ndarray):
         """``(batch payload, shared handle or None)`` for worker processes.
 
@@ -845,207 +1171,6 @@ class ParallelCampaignRunner:
                 )
         return (images, labels), None
 
-    # ------------------------------------------------------------------
-    # Serial path (workers == 1)
-    # ------------------------------------------------------------------
-    def _run_serial(
-        self,
-        images: np.ndarray,
-        labels: np.ndarray,
-        header: dict | None,
-        completed: dict[int, TrialRecord],
-    ) -> CampaignResult:
-        cfg = self.config
-        platform = self.platform if self.platform is not None else self.spec.build()
-        # Fresh cache/tape per run: deterministic memory profile, and reused
-        # platforms (serial campaigns) don't carry entries across campaigns.
-        platform.reset_caches()
-        self._serial_stats_begin()
-        baseline = platform.baseline_accuracy(images, labels, batch_size=cfg.batch_size)
-        if header is not None:
-            self._check_baseline(baseline, header["baseline_accuracy"], "the checkpoint header")
-        ips = platform.inferences_per_second()
-        result = CampaignResult(
-            baseline_accuracy=baseline,
-            strategy=self.strategy.name,
-            num_images=len(labels),
-            seed=cfg.seed,
-            emulated_inferences_per_second=ips,
-        )
-        writer = self._open_checkpoint(fresh=header is None)
-        try:
-            if header is None:
-                self._write_header(writer, baseline, ips, len(labels))
-            # The expected trial count is only needed for progress logging;
-            # compute it lazily so custom strategies that implement trials()
-            # but not expected_trials() still run (with indexless progress).
-            expected: int | str | None = None
-            rng = SeededRNG(cfg.seed)
-            pending: list[tuple[int, StrategyTrial]] = []
-            group = max(1, cfg.fused_trials)
-
-            def flush() -> None:
-                nonlocal expected
-                for record in _records_for_pairs(
-                    platform, pending, baseline, images, labels, cfg
-                ):
-                    result.add(record)
-                    self._write_record(writer, record)
-                    if cfg.log_every and (record.trial_index + 1) % cfg.log_every == 0:
-                        if expected is None:
-                            total = self._total_trials()
-                            expected = "?" if total is None else total
-                        logger.info(
-                            "trial %d/%s: %s -> accuracy %.3f (drop %.3f)",
-                            record.trial_index + 1,
-                            expected,
-                            record.description,
-                            record.accuracy,
-                            record.accuracy_drop,
-                        )
-                pending.clear()
-
-            for index, trial in enumerate(self.strategy.trials(platform.universe, rng)):
-                if index in completed:
-                    result.add(completed[index])
-                    continue
-                pending.append((index, trial))
-                if len(pending) >= group:
-                    flush()
-            flush()
-        finally:
-            if writer is not None:
-                writer.close()
-        result.runtime_stats = self._serial_stats_end(platform)
-        return result
-
-    # ------------------------------------------------------------------
-    # Parallel path (workers > 1)
-    # ------------------------------------------------------------------
-    def _run_parallel(
-        self,
-        images: np.ndarray,
-        labels: np.ndarray,
-        header: dict | None,
-        completed: dict[int, TrialRecord],
-    ) -> CampaignResult:
-        cfg = self.config
-        total = self.strategy.expected_trials(self._universe())
-        pending = [i for i in range(total) if i not in completed]
-        if not pending and header is None:
-            # Nothing to shard and no header to take the baseline from
-            # (e.g. a zero-trial strategy): the serial path establishes the
-            # baseline and returns the same (empty) result workers=1 would.
-            return self._run_serial(images, labels, header, completed)
-        shards = shard_indices(pending, self.workers)
-
-        baseline: float | None = None
-        ips: float | None = None
-        if header is not None:
-            baseline = header["baseline_accuracy"]
-            ips = header.get("emulated_inferences_per_second")
-        records: dict[int, TrialRecord] = dict(completed)
-
-        # fork is cheap (the spec crosses the process boundary by page
-        # sharing, not pickling) but only reliably safe on Linux; macOS
-        # frameworks (Accelerate, libdispatch) are not fork-safe.
-        method = self.start_method or (
-            "fork"
-            if sys.platform == "linux" and "fork" in mp.get_all_start_methods()
-            else "spawn"
-        )
-        ctx = mp.get_context(method)
-        results: mp.Queue = ctx.Queue()
-        stats_parts: list[dict] = []
-        leases = [ShardLease(lease_id, shard) for lease_id, shard in enumerate(shards)]
-        header_written = header is not None
-        # Every resource needing parent-side reaping — the /dev/shm batch
-        # segment, the worker processes, the checkpoint writer — is
-        # allocated *inside* the try: workers release their attachment in a
-        # `finally`, but a worker killed mid-trial never runs it, so the
-        # parent's unlink below is the only thing standing between an
-        # abnormal exit and a leaked shared-memory segment.
-        shared = None
-        writer = None
-        batch = None
-
-        def handle(kind: str, payload) -> None:
-            nonlocal baseline, ips, header_written
-            if kind == "meta":
-                worker_baseline, worker_ips = payload
-                if baseline is None:
-                    baseline, ips = worker_baseline, worker_ips
-                else:
-                    # Every worker must reproduce the exact same baseline —
-                    # this is the determinism invariant the records rely on.
-                    self._check_baseline(worker_baseline, baseline, "another worker")
-                if not header_written:
-                    self._write_header(writer, baseline, ips, len(labels))
-                    header_written = True
-            elif kind == "record":
-                records[payload.trial_index] = payload
-                self._write_record(writer, payload)
-                if cfg.log_every and len(records) % cfg.log_every == 0:
-                    logger.info("completed %d/%d trials", len(records), total)
-            elif kind == "stats":
-                stats_parts.append(payload)
-
-        def spawn(lease: ShardLease) -> tuple[object, tuple[int, int]]:
-            # A re-leased shard serves only what its dead worker left
-            # behind; records are keyed by index, so re-running a subset is
-            # byte-identical to running the full shard once.
-            token = (lease.lease_id, lease.attempt - 1)
-            proc = ctx.Process(
-                target=_shard_worker,
-                args=(token, self.spec, self.strategy, cfg, batch,
-                      sorted(lease.remaining), results),
-                daemon=True,
-            )
-            proc.start()
-            return proc, token
-
-        def reap(lease: ShardLease, failed: bool) -> None:
-            terminate_process(lease.proc) if failed else lease.proc.join()
-
-        try:
-            batch, shared = self._make_batch(images, labels)
-            writer = self._open_checkpoint(fresh=header is None)
-            supervisor = LeaseSupervisor(
-                leases,
-                results=results,
-                spawn=spawn,
-                reap=reap,
-                handle=handle,
-                max_retries=cfg.max_shard_retries,
-                timeout=cfg.shard_timeout,
-                backoff=cfg.retry_backoff,
-                poison_policy=cfg.poison_policy,
-            )
-            recovery = supervisor.run()
-        finally:
-            for lease in leases:
-                terminate_process(lease.proc)
-            if writer is not None:
-                writer.close()
-            if shared is not None:
-                shared.unlink()
-
-        if baseline is None:
-            # No worker survived long enough to report a baseline (every
-            # shard quarantined before its meta message) and the header
-            # carried none either.
-            raise RuntimeError("campaign finished without establishing a baseline accuracy")
-        result = CampaignResult(
-            baseline_accuracy=baseline,
-            strategy=self.strategy.name,
-            num_images=len(labels),
-            seed=cfg.seed,
-            emulated_inferences_per_second=ips,
-        )
-        result.records = [records[i] for i in sorted(records)]
-        result.runtime_stats = self._aggregate_runtime_stats(stats_parts, len(leases))
-        result.recovery = self._recovery_dict(recovery)
-        return result
 
     def _recovery_dict(self, recovery: RecoveryLog) -> dict:
         """Recovery provenance for the result (observational, never identity)."""
@@ -1053,326 +1178,3 @@ class ParallelCampaignRunner:
         if any(self._checkpoint_stats.values()):
             out["checkpoint"] = dict(self._checkpoint_stats)
         return out
-
-    # ------------------------------------------------------------------
-    # Adaptive (confidence-bounded) execution
-    # ------------------------------------------------------------------
-    def _adaptive_progress(
-        self, bounds: list[tuple[int, int]], records: dict[int, TrialRecord]
-    ) -> tuple[int, int, bool]:
-        """Replay the stopping rule over rounds already present in ``records``.
-
-        Returns ``(completed_rounds, stop_end, stopped)``: how many leading
-        rounds are fully evaluated, the trial-index bound of the campaign so
-        far, and whether the plan's stopping rule already fired.  Because
-        the rule is a pure function of the completed rounds' records, a
-        resumed campaign reaches the exact stopping round of an
-        uninterrupted one.
-        """
-        completed_rounds = 0
-        stop_end = 0
-        for start, end in bounds:
-            if not all(index in records for index in range(start, end)):
-                break
-            completed_rounds += 1
-            stop_end = end
-            round_records = [records[index] for index in range(end)]
-            if self.plan.should_stop(completed_rounds, round_records):
-                return completed_rounds, end, True
-        return completed_rounds, stop_end, False
-
-    def _adaptive_result(
-        self,
-        baseline: float,
-        ips: float | None,
-        num_images: int,
-        records: dict[int, TrialRecord],
-        budget: int,
-        rounds_completed: int,
-        stop_end: int,
-    ) -> CampaignResult:
-        """Assemble the campaign result of the rounds up to ``stop_end``."""
-        result = CampaignResult(
-            baseline_accuracy=baseline,
-            strategy=self.strategy.name,
-            num_images=num_images,
-            seed=self.config.seed,
-            emulated_inferences_per_second=ips,
-        )
-        result.records = [records[index] for index in range(stop_end)]
-        interval = self.plan.interval(result.records)
-        result.adaptive = {
-            "plan": self.plan.to_dict(),
-            "budget": budget,
-            "rounds_completed": rounds_completed,
-            "trials_evaluated": stop_end,
-            "stopped_early": stop_end < budget,
-            "final_half_width": interval.half_width if interval is not None else None,
-            "final_interval": interval.to_dict() if interval is not None else None,
-        }
-        return result
-
-    def _run_serial_adaptive(
-        self,
-        images: np.ndarray,
-        labels: np.ndarray,
-        header: dict | None,
-        completed: dict[int, TrialRecord],
-    ) -> CampaignResult:
-        cfg = self.config
-        plan = self.plan
-        platform = self.platform if self.platform is not None else self.spec.build()
-        platform.reset_caches()
-        self._serial_stats_begin()
-        baseline = platform.baseline_accuracy(images, labels, batch_size=cfg.batch_size)
-        if header is not None:
-            self._check_baseline(baseline, header["baseline_accuracy"], "the checkpoint header")
-        ips = platform.inferences_per_second()
-        budget = plan.budget(self.strategy.expected_trials(platform.universe))
-        bounds = plan.round_bounds(budget)
-        records = dict(completed)
-        writer = self._open_checkpoint(fresh=header is None)
-        try:
-            if header is None:
-                self._write_header(writer, baseline, ips, len(labels))
-            completed_rounds, stop_end, stopped = self._adaptive_progress(bounds, records)
-            rng = SeededRNG(cfg.seed)
-            for round_number in range(completed_rounds, len(bounds) if not stopped else 0):
-                start, end = bounds[round_number]
-                pairs = [
-                    (index, self.strategy.trial_at(platform.universe, rng, index))
-                    for index in range(start, end)
-                    if index not in records
-                ]
-                for record in _records_for_pairs(
-                    platform, pairs, baseline, images, labels, cfg
-                ):
-                    records[record.trial_index] = record
-                    self._write_record(writer, record)
-                completed_rounds = round_number + 1
-                stop_end = end
-                round_records = [records[index] for index in range(end)]
-                if cfg.log_every:
-                    interval = plan.interval(round_records)
-                    logger.info(
-                        "round %d (%d/%d trials): half-width %s (target %g)",
-                        completed_rounds,
-                        end,
-                        budget,
-                        "n/a" if interval is None else f"{interval.half_width:.4f}",
-                        plan.target_half_width,
-                    )
-                if plan.should_stop(completed_rounds, round_records):
-                    break
-        finally:
-            if writer is not None:
-                writer.close()
-        result = self._adaptive_result(
-            baseline, ips, len(labels), records, budget, completed_rounds, stop_end
-        )
-        result.runtime_stats = self._serial_stats_end(platform)
-        return result
-
-    def _run_parallel_adaptive(
-        self,
-        images: np.ndarray,
-        labels: np.ndarray,
-        header: dict | None,
-        completed: dict[int, TrialRecord],
-    ) -> CampaignResult:
-        cfg = self.config
-        plan = self.plan
-        budget = plan.budget(self.strategy.expected_trials(self._universe()))
-        bounds = plan.round_bounds(budget)
-        records = dict(completed)
-        completed_rounds, stop_end, stopped = self._adaptive_progress(bounds, records)
-        if stopped or completed_rounds == len(bounds):
-            # The checkpoint alone decides the campaign (resume after a
-            # finished run): no trial needs evaluating, so don't pay for a
-            # worker pool — but the baseline must come from somewhere.
-            if header is None:
-                return self._run_serial_adaptive(images, labels, header, completed)
-            return self._adaptive_result(
-                header["baseline_accuracy"],
-                header.get("emulated_inferences_per_second"),
-                len(labels),
-                records,
-                budget,
-                completed_rounds,
-                stop_end,
-            )
-
-        baseline: float | None = None
-        ips: float | None = None
-        if header is not None:
-            baseline = header["baseline_accuracy"]
-            ips = header.get("emulated_inferences_per_second")
-
-        method = self.start_method or (
-            "fork"
-            if sys.platform == "linux" and "fork" in mp.get_all_start_methods()
-            else "spawn"
-        )
-        ctx = mp.get_context(method)
-        results: mp.Queue = ctx.Queue()
-        header_written = header is not None
-        stats_parts: list[dict] = []
-        slots = [_PoolSlot(slot_id) for slot_id in range(self.workers)]
-        recovery = RecoveryLog()
-        # Allocated inside the try for the same reason as _run_parallel:
-        # the parent's finally is the only reliable reaper of the shared
-        # batch segment when a worker exits abnormally.
-        shared = None
-        writer = None
-        batch = None
-
-        def handle(kind: str, payload) -> None:
-            nonlocal baseline, ips, header_written
-            if kind == "meta":
-                worker_baseline, worker_ips = payload
-                if baseline is None:
-                    baseline, ips = worker_baseline, worker_ips
-                else:
-                    self._check_baseline(worker_baseline, baseline, "another worker")
-                if not header_written:
-                    self._write_header(writer, baseline, ips, len(labels))
-                    header_written = True
-            elif kind == "record":
-                records[payload.trial_index] = payload
-                self._write_record(writer, payload)
-            elif kind == "stats":
-                stats_parts.append(payload)
-
-        def spawn(lease: ShardLease) -> tuple[object, tuple[int, int]]:
-            # Lease ids are pool slot ids.  A healthy slot keeps its warm
-            # worker (platform already built) across rounds; a slot whose
-            # worker died or hung gets a fresh process under a bumped epoch,
-            # so the old worker's late lifecycle messages can never be
-            # mistaken for the new attempt's.
-            slot = slots[lease.lease_id]
-            if slot.proc is None or not slot.proc.is_alive():
-                slot.epoch += 1
-                slot.tasks = ctx.Queue()
-                slot.proc = ctx.Process(
-                    target=_round_worker,
-                    args=((slot.slot_id, slot.epoch), self.spec, self.strategy,
-                          cfg, batch, slot.tasks, results),
-                    daemon=True,
-                )
-                slot.proc.start()
-            slot.tasks.put(sorted(lease.remaining))
-            return slot.proc, (slot.slot_id, slot.epoch)
-
-        def reap(lease: ShardLease, failed: bool) -> None:
-            if failed:
-                # The slot's worker is unusable (dead, hung or erroring):
-                # stop it so the next attempt respawns under a new epoch.
-                terminate_process(slots[lease.lease_id].proc)
-            # failed=False: keep the persistent worker warm for later rounds.
-
-        try:
-            batch, shared = self._make_batch(images, labels)
-            writer = self._open_checkpoint(fresh=header is None)
-            for round_number in range(completed_rounds, len(bounds)):
-                start, end = bounds[round_number]
-                pending = [index for index in range(start, end) if index not in records]
-                if pending:
-                    shards = shard_indices(pending, self.workers)
-                    leases = [ShardLease(w, shard) for w, shard in enumerate(shards)]
-                    supervisor = LeaseSupervisor(
-                        leases,
-                        results=results,
-                        spawn=spawn,
-                        reap=reap,
-                        handle=handle,
-                        complete_kind="round-done",
-                        max_retries=cfg.max_shard_retries,
-                        timeout=cfg.shard_timeout,
-                        backoff=cfg.retry_backoff,
-                        poison_policy=cfg.poison_policy,
-                        recovery=recovery,
-                    )
-                    supervisor.run()
-                missing = [index for index in range(start, end) if index not in records]
-                if missing:
-                    # A quarantined poison shard left holes in this round.
-                    # The stopping rule is a pure function of *complete*
-                    # rounds, so the campaign ends at the last full one.
-                    logger.error(
-                        "round %d is missing %d trial(s) from poison shard(s); "
-                        "stopping the adaptive campaign after round %d",
-                        round_number + 1, len(missing), completed_rounds,
-                    )
-                    break
-                completed_rounds = round_number + 1
-                stop_end = end
-                round_records = [records[index] for index in range(end)]
-                if cfg.log_every:
-                    logger.info("completed round %d: %d/%d trials", completed_rounds, end, budget)
-                if plan.should_stop(completed_rounds, round_records):
-                    break
-            self._shutdown_pool(slots, results, stats_parts, handle)
-        finally:
-            for slot in slots:
-                terminate_process(slot.proc)
-            if writer is not None:
-                writer.close()
-            if shared is not None:
-                shared.unlink()
-
-        if baseline is None:
-            raise RuntimeError("campaign finished without establishing a baseline accuracy")
-        result = self._adaptive_result(
-            baseline, ips, len(labels), records, budget, completed_rounds, stop_end
-        )
-        result.runtime_stats = self._aggregate_runtime_stats(stats_parts, self.workers)
-        result.recovery = self._recovery_dict(recovery)
-        return result
-
-    @staticmethod
-    def _shutdown_pool(
-        slots: list[_PoolSlot],
-        results: mp.Queue,
-        stats_parts: list[dict],
-        handle: Callable[[str, object], None],
-        deadline: float = 30.0,
-    ) -> None:
-        """Retire surviving pool workers, collecting their final stats.
-
-        Deadline-aware: a worker that dies or hangs *during shutdown*
-        forfeits its stats (they are observational) instead of stalling the
-        campaign — the old collector would block forever here.
-        """
-        waiting = set()
-        for slot in slots:
-            if slot.proc is not None and slot.proc.is_alive():
-                slot.tasks.put(None)
-                waiting.add(slot.slot_id)
-        deadline_at = time.monotonic() + deadline
-        while waiting and time.monotonic() < deadline_at:
-            try:
-                kind, token, payload = results.get(timeout=0.25)
-            except queue_module.Empty:
-                for slot in slots:
-                    if slot.slot_id in waiting and not slot.proc.is_alive():
-                        waiting.discard(slot.slot_id)
-                continue
-            slot_id, epoch = token
-            if slot_id >= len(slots) or epoch != slots[slot_id].epoch:
-                continue  # a terminated epoch's stragglers
-            if kind == "stats":
-                stats_parts.append(payload)
-            elif kind == "done":
-                waiting.discard(slot_id)
-                slots[slot_id].proc.join()
-            elif kind in ("record", "meta"):
-                # Late but valid data from the current epoch (deterministic,
-                # deduplicated by trial index downstream).
-                handle(kind, payload)
-        for slot in slots:
-            if slot.slot_id in waiting:  # pragma: no cover - shutdown stall
-                logger.warning(
-                    "adaptive worker %d did not retire within %.0fs; terminating",
-                    slot.slot_id, deadline,
-                )
-                terminate_process(slot.proc)

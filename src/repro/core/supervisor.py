@@ -28,7 +28,7 @@ Timing notes
 ------------
 
 *Progress* is any message from the lease's current attempt (baseline meta,
-records, stats).  The hang deadline therefore bounds the gap between
+records).  The hang deadline therefore bounds the gap between
 consecutive records, not total shard duration; leave it ``None`` (disabled)
 unless per-trial latency is predictable, and size it generously —
 several multiples of the slowest expected trial group.
@@ -36,7 +36,7 @@ several multiples of the slowest expected trial group.
 Stale messages — from an attempt that was already reclaimed (e.g. a worker
 declared hung that was merely slow) — are *not* discarded wholesale:
 records are accepted from any attempt (they are deterministic and keyed by
-trial index), while lifecycle messages (completion, errors, stats) are
+trial index), while lifecycle messages (completion, errors) are
 honoured only from the current attempt.
 """
 
@@ -153,24 +153,20 @@ class LeaseSupervisor:
         The multiprocessing queue every worker reports into.  Messages are
         ``(kind, token, payload)`` with ``token == (lease_id, attempt)``.
     spawn:
-        ``spawn(lease) -> (proc, token)``: launch (or re-use, for
-        persistent pools) a worker serving ``sorted(lease.remaining)``,
+        ``spawn(lease) -> (proc, token)``: launch (or re-use, when its
+        worker is still healthy) a worker serving ``sorted(lease.remaining)``,
         tagging its messages with the returned token.  Called once per
         attempt.
     reap:
         ``reap(lease, failed)``: dispose of the lease's current worker.
         ``failed=True`` means the worker must not serve anything again
         (terminate/kill it); ``failed=False`` means it completed its lease
-        normally (join it, or keep it alive for the next round in
-        persistent pools).
+        normally (it may stay alive for the next round).
     handle:
         ``handle(kind, payload)``: runner-level message consumer for
-        ``meta`` / ``record`` / ``stats`` payloads (checkpoint writing,
-        baseline checks, stats aggregation).  The supervisor does lease
-        bookkeeping; the runner owns campaign semantics.
-    complete_kind:
-        Message kind that marks a lease finished (``"done"`` for one-shot
-        shard workers, ``"round-done"`` for persistent round workers).
+        ``meta`` / ``record`` payloads (checkpoint writing, baseline
+        checks).  The supervisor does lease bookkeeping; the runner owns
+        campaign semantics.
     max_retries:
         Re-attempts after the first failure before a lease turns poison.
     timeout:
@@ -194,7 +190,6 @@ class LeaseSupervisor:
         spawn: Callable[[ShardLease], tuple[object, tuple[int, int]]],
         reap: Callable[[ShardLease, bool], None],
         handle: Callable[[str, object], None],
-        complete_kind: str = "done",
         max_retries: int = 2,
         timeout: float | None = None,
         backoff: float = 0.25,
@@ -220,7 +215,6 @@ class LeaseSupervisor:
         self.spawn = spawn
         self.reap = reap
         self.handle = handle
-        self.complete_kind = complete_kind
         self.max_retries = max_retries
         self.timeout = timeout
         self.backoff = backoff
@@ -301,14 +295,11 @@ class LeaseSupervisor:
             self.handle("meta", payload)
             if current:
                 lease.last_progress = self.clock()
-        elif kind == "stats":
-            if current:
-                self.handle("stats", payload)
         elif kind == "error":
             if current:
                 self.recovery.worker_errors += 1
                 self._fail(lease, f"worker raised:\n{payload}")
-        elif kind == self.complete_kind:
+        elif kind == "done":
             if current:
                 if lease.remaining:
                     # The queue is FIFO per producer, so every record this

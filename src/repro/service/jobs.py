@@ -24,10 +24,13 @@ dict): trials are pure functions of ``(seed, index)``, so
   ``sweep.jsonl`` — are byte-identical to a local ``--workers 1`` run of
   the same spec, which CI's fleet gate asserts with ``cmp``.
 
-Adaptive stopping happens at round barriers: the next round's leases open
-only once the current round is fully merged and the plan's
-``should_stop`` (a pure function of complete rounds) says to continue —
-the same rule, evaluated at the same points, as local execution.
+Every scenario runs in rounds — a fixed budget is one round, an adaptive
+plan supplies its own — and the next round's leases open only once every
+lease of the current one has settled.  At that barrier
+:func:`~repro.core.parallel.round_progress`, the round rule local
+execution applies, decides whether the scenario continues and which
+records its result keeps, so a round left with holes by a quarantined
+poison lease ends a scenario exactly as it ends a local campaign.
 """
 
 from __future__ import annotations
@@ -37,7 +40,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from repro.core.parallel import checkpoint_header_line, checkpoint_record_line
+from repro.core.parallel import (
+    RoundProgress,
+    campaign_rounds,
+    checkpoint_header_line,
+    checkpoint_record_line,
+    round_progress,
+)
 from repro.core.results import CampaignResult, TrialRecord
 from repro.core.supervisor import LeaseState, RecoveryLog, ShardLease, backoff_delay
 from repro.core.sweep import (
@@ -134,11 +143,9 @@ class _ScenarioState:
     baseline: float | None = None
     ips: float | None = None
     num_images: int | None = None
-    #: Round bounds under an adaptive plan (``None`` = fixed budget).
-    bounds: list[tuple[int, int]] | None = None
-    completed_rounds: int = 0
-    #: Trial-index bound of the campaign so far (adaptive: last barrier).
-    stop_end: int = 0
+    #: Rounds of the scenario (a fixed budget is one round).
+    bounds: list[tuple[int, int]] = field(default_factory=list)
+    progress: RoundProgress = field(default_factory=RoundProgress)
     #: Lease ids currently open (WAITING or RUNNING) for this scenario.
     open_leases: set[int] = field(default_factory=set)
     done: bool = False
@@ -195,11 +202,11 @@ class FleetJob:
             state = _ScenarioState(
                 scenario=scenario, strategy_name=strategy.name, total_trials=total
             )
-            if self.plan is not None:
-                state.bounds = self.plan.round_bounds(self.plan.budget(total))
+            state.bounds = campaign_rounds(self.plan, total)
+            state.progress = round_progress(self.plan, state.bounds, state.records)
             self.scenarios.append(state)
         for index in range(len(self.scenarios)):
-            self._open_next(index)
+            self._open_round(index)
 
     # ------------------------------------------------------------------
     # Lease opening
@@ -215,21 +222,15 @@ class FleetJob:
             state.open_leases.add(lease.lease_id)
             self.recovery.leases += 1
 
-    def _open_next(self, scenario_index: int) -> None:
-        """Open the scenario's next work unit (whole budget, or next round)."""
+    def _open_round(self, scenario_index: int) -> None:
+        """Open the scenario's next round (a scenario with no trial to run
+        still gets one empty lease, to fetch its baseline)."""
         state = self.scenarios[scenario_index]
-        if state.bounds is None:
-            self._open_shards(scenario_index, list(range(state.total_trials)))
-            return
-        if state.completed_rounds >= len(state.bounds):
-            # A zero-round plan still needs one empty lease for the baseline.
-            if not state.bounds and not state.records and state.baseline is None:
-                self._open_shards(scenario_index, [])
-                return
-            self._finish_scenario(state)
-            return
-        start, end = state.bounds[state.completed_rounds]
-        self._open_shards(scenario_index, list(range(start, end)))
+        indices: list[int] = []
+        if not state.progress.stopped:
+            start, end = state.bounds[state.progress.rounds]
+            indices = list(range(start, end))
+        self._open_shards(scenario_index, indices)
 
     # ------------------------------------------------------------------
     # Worker-facing transitions (call under the coordinator's lock)
@@ -467,49 +468,33 @@ class FleetJob:
         logger.error("job %s failed: %s", self.job_id, reason.splitlines()[0])
 
     def _settle(self, lease: NetworkLease) -> None:
-        """A lease reached DONE/POISON: advance its scenario if its whole
-        work unit (budget or round) is settled."""
+        """A lease reached DONE/POISON: pass the round barrier once every
+        lease of its scenario's round is settled."""
         state = self.scenarios[lease.scenario_index]
         state.open_leases.discard(lease.lease_id)
         if state.open_leases or self.state == JOB_FAILED:
             return
-        if state.bounds is None:
-            self._finish_scenario(state)
-        else:
-            self._round_barrier(lease.scenario_index)
+        self._round_barrier(lease.scenario_index)
         self._maybe_finish_job()
 
     def _round_barrier(self, scenario_index: int) -> None:
-        """All leases of the current adaptive round settled: apply the
-        stopping rule and open the next round, or end the scenario."""
+        """Every lease of the scenario's round settled: apply the round
+        rule, then open the next round or end the scenario."""
         state = self.scenarios[scenario_index]
-        if state.completed_rounds >= len(state.bounds):
-            # Zero-round plan: the only lease was the baseline fetch.
-            self._finish_scenario(state)
+        state.progress = round_progress(
+            self.plan, state.bounds, state.records, since=state.progress
+        )
+        if not state.progress.stopped:
+            self._open_round(scenario_index)
             return
-        start, end = state.bounds[state.completed_rounds]
-        if any(index not in state.records for index in range(start, end)):
-            # Quarantined poison left holes: the stopping rule is a pure
-            # function of *complete* rounds, so the scenario ends at the
-            # last full barrier (exactly like local adaptive execution).
+        if state.progress.missing:
             logger.error(
-                "job %s scenario %s: round %d has holes from poison lease(s); "
-                "stopping after round %d",
-                self.job_id, state.scenario.scenario_id,
-                state.completed_rounds + 1, state.completed_rounds,
+                "job %s scenario %s: round %d is missing %d trial(s) from poison "
+                "lease(s); the scenario ends after round %d",
+                self.job_id, state.scenario.scenario_id, state.progress.rounds + 1,
+                state.progress.missing, state.progress.rounds,
             )
-            self._finish_scenario(state)
-            return
-        state.completed_rounds += 1
-        state.stop_end = end
-        round_records = [state.records[index] for index in range(end)]
-        if (
-            self.plan.should_stop(state.completed_rounds, round_records)
-            or state.completed_rounds >= len(state.bounds)
-        ):
-            self._finish_scenario(state)
-            return
-        self._open_next(scenario_index)
+        self._finish_scenario(state)
 
     def _finish_scenario(self, state: _ScenarioState) -> None:
         if not state.done:
@@ -576,7 +561,7 @@ class FleetJob:
                 seed=self.spec.seed,
                 emulated_inferences_per_second=state.ips,
             )
-            result.records = [state.records[index] for index in sorted(state.records)]
+            result.records = state.progress.kept(state.records)
             result.recovery = self.recovery.to_dict()
             scenario_results.append(
                 ScenarioResult(scenario=state.scenario, result=result)
@@ -602,11 +587,11 @@ class FleetJob:
                 {
                     "scenario": state.scenario.scenario_id,
                     "cell": list(state.scenario.cell),
-                    "records": len(state.records),
+                    "records": len(scenario_result.result.records),
                     "total_trials": state.total_trials,
                     "baseline_accuracy": state.baseline,
                 }
-                for state in self.scenarios
+                for state, scenario_result in zip(self.scenarios, sweep.scenario_results)
             ],
         }
         durable_write_text(

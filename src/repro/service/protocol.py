@@ -16,7 +16,7 @@ Conventions
 -----------
 
 * ``attempt`` fields carry the **token attempt** — the same value a local
-  shard worker is tagged with (first service of a lease is attempt ``0``),
+  pool worker is tagged with (first service of a lease is attempt ``0``),
   so the fleet lease book and :class:`repro.core.supervisor.ShardLease`
   speak one dialect.
 * Floats must be finite: JSON has no portable NaN/Inf, and a baseline of

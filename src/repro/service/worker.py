@@ -1,15 +1,16 @@
 """The worker node agent: register, lease shards, evaluate, stream, beat.
 
 A :class:`WorkerAgent` is the fleet analogue of one local pool worker
-(:func:`repro.core.parallel._shard_worker`), with the wire in between:
+(:func:`repro.core.parallel._round_worker`), with the wire in between:
 
 * register with the coordinator (learning its heartbeat contract);
 * poll for a lease; a grant names a scenario, a ``(lease_id, attempt)``
   token and the *remaining* trial indices of the shard;
 * build (and memoise) the scenario's platform, report baseline accuracy
   and emulated throughput in the first record batch, then evaluate the
-  leased indices through exactly the same fused-trial path local
-  execution uses — records are bit-identical by construction;
+  leased indices through :func:`repro.core.parallel.records_for_indices`,
+  the evaluation path local execution uses — records are bit-identical by
+  construction;
 * stream records in batches, heartbeat from a side thread, and send a
   completion when the shard is drained.
 
@@ -38,7 +39,7 @@ import traceback
 
 from repro.core.campaign import CampaignConfig
 from repro.core.chaos import KILL_EXIT_CODE, ChaosPlan
-from repro.core.parallel import _records_for_pairs
+from repro.core.parallel import records_for_indices
 from repro.core.sweep import Scenario
 from repro.service.client import CoordinatorClient, ServiceError
 from repro.service.jobs import scenario_from_wire
@@ -50,7 +51,6 @@ from repro.service.protocol import (
     RecordBatch,
 )
 from repro.utils.logging import get_logger
-from repro.utils.rng import SeededRNG
 
 logger = get_logger(__name__)
 
@@ -269,14 +269,9 @@ class WorkerAgent:
             )
             pending: list[dict] = []
             self._strike(chaos_events, 0, grant, pending, stale)
-            rng = SeededRNG(grant.seed)
-            pairs = [
-                (index, strategy.trial_at(platform.universe, rng, index))
-                for index in grant.indices
-            ]
             emitted = 0
-            for record in _records_for_pairs(
-                platform, pairs, baseline, images, labels, config
+            for record in records_for_indices(
+                platform, strategy, grant.indices, baseline, images, labels, config
             ):
                 pending.append(record.to_dict())
                 emitted += 1

@@ -33,6 +33,20 @@ from tests.test_sweep import GOLDEN_SPEC
 
 JOB_DEADLINE = 120.0
 
+#: The golden spec with 8 trials per scenario under an adaptive plan whose
+#: loose target stops every scenario after its second round of 2: the
+#: sdc_rate metric always has a Wilson interval, and none is wider than 10.
+ADAPTIVE_SPEC = {
+    **GOLDEN_SPEC,
+    "strategies": [{"name": "random", "kind": "random", "counts": [1, 2], "trials": 4}],
+    "adaptive": {
+        "target_half_width": 10.0,
+        "round_size": 2,
+        "min_rounds": 2,
+        "metric": "sdc_rate",
+    },
+}
+
 
 # ----------------------------------------------------------------------
 # Harness
@@ -113,13 +127,15 @@ def wait_for_job(client, job_id, deadline=JOB_DEADLINE):
     raise AssertionError(f"job {job_id} did not settle within {deadline}s")
 
 
-def run_fleet(tmp_path, resolver, *, nodes=1, worker_chaos=None, **coordinator_kw):
-    """Run the golden spec on a fresh fleet; returns (artifacts_dir, status,
+def run_fleet(
+    tmp_path, resolver, *, spec=GOLDEN_SPEC, nodes=1, worker_chaos=None, **coordinator_kw
+):
+    """Run ``spec`` on a fresh fleet; returns (artifacts_dir, status,
     per-node exit codes)."""
     coordinator = make_coordinator(tmp_path, **coordinator_kw)
     try:
         client = CoordinatorClient(coordinator.url, timeout=5.0, retries=3, backoff=0.05)
-        job_id = client.submit_job(dict(GOLDEN_SPEC)).job_id
+        job_id = client.submit_job(dict(spec)).job_id
         threads, outcomes = [], []
         for ordinal in range(nodes):
             chaos = (worker_chaos or {}).get(ordinal)
@@ -193,6 +209,29 @@ class TestFleetByteIdentity:
         assert outcomes[1]["code"] == 0
         assert status.reclaimed >= 1  # the dead node's lease was re-leased
         assert_byte_identical(serial_artifacts, fleet_dir)
+
+    def test_adaptive_two_nodes_match_serial(self, tmp_path, fleet_resolver):
+        # The fleet's round barrier applies the local round rule: both stop
+        # every scenario at the same round and keep the same records.
+        serial_dir = tmp_path / "serial"
+        SweepRunner(
+            ExperimentSpec.from_dict(ADAPTIVE_SPEC).grid(),
+            workers=1,
+            sweep_dir=serial_dir,
+            resolver=fleet_resolver,
+        ).run()
+        fleet_dir, status, outcomes = run_fleet(
+            tmp_path, fleet_resolver, spec=ADAPTIVE_SPEC, nodes=2
+        )
+        assert status.state == "done"
+        assert [outcome["code"] for outcome in outcomes] == [0, 0]
+        result = json.loads((fleet_dir / "result.json").read_text())
+        assert len(result["scenarios"]) == 2
+        for scenario in result["scenarios"]:
+            # Stopped early: two rounds of 2 out of an 8-trial budget.
+            assert scenario["records"] == 4
+            assert scenario["total_trials"] == 8
+        assert_byte_identical(serial_dir, fleet_dir)
 
     def test_dup_delivery_is_idempotent(self, tmp_path, fleet_resolver, serial_artifacts):
         dups = NetworkChaosPlan(
@@ -306,7 +345,7 @@ class FakeClock:
         return self.now
 
 
-def make_job(tmp_path, **overrides):
+def make_job(tmp_path, spec=GOLDEN_SPEC, **overrides):
     settings = dict(
         artifacts_dir=tmp_path / "job",
         shard_size=2,
@@ -316,8 +355,7 @@ def make_job(tmp_path, **overrides):
     )
     settings.update(overrides)
     clock = FakeClock()
-    spec = ExperimentSpec.from_dict(GOLDEN_SPEC)
-    return FleetJob("job-test", spec, clock=clock, **settings), clock
+    return FleetJob("job-test", ExperimentSpec.from_dict(spec), clock=clock, **settings), clock
 
 
 class TestFleetJobLeaseBook:
@@ -402,6 +440,45 @@ class TestFleetJobLeaseBook:
         assert len(job.recovery.poison) == 2
         result = json.loads((tmp_path / "job" / "result.json").read_text())
         assert result["scenarios"][0]["records"] == 0
+
+    def test_adaptive_round_with_holes_keeps_complete_rounds(self, tmp_path):
+        # One 8-trial scenario in rounds of 4 that never stops early.  In
+        # round 2 one lease delivers and the other goes silent and is
+        # quarantined: the result keeps round 1 only, as a local run does.
+        spec = {
+            **GOLDEN_SPEC,
+            "faults": GOLDEN_SPEC["faults"][:1],
+            "strategies": [{"name": "random", "kind": "random", "counts": [1, 2], "trials": 4}],
+            "adaptive": {"target_half_width": 1e-9, "round_size": 4, "min_rounds": 1},
+        }
+        job, clock = make_job(tmp_path, spec=spec, max_retries=0, poison_policy="quarantine")
+
+        def serve(grant):
+            job.add_records(
+                grant.lease_id, grant.attempt, grant.scenario_index,
+                [record_dict(index) for index in grant.indices],
+                baseline=0.9, ips=100.0, num_images=16,
+            )
+            assert job.complete(grant.lease_id, grant.attempt, ok=True)
+
+        serve(job.grant(node_id=0))  # round 1: trials 0-1
+        serve(job.grant(node_id=0))  # round 1: trials 2-3
+        delivered, silent = job.grant(node_id=0), job.grant(node_id=1)
+        assert (delivered.indices, silent.indices) == ((4, 5), (6, 7))
+        serve(delivered)
+        clock.now = 2.0
+        job.check_timeouts()  # the silent lease is poison at once (max_retries=0)
+        assert job.state == "done"
+        assert len(job.recovery.poison) == 1
+
+        lines = [
+            json.loads(line)
+            for line in (tmp_path / "job" / "sweep.jsonl").read_text().splitlines()
+        ]
+        assert [l["trial_index"] for l in lines if l["kind"] == "record"] == [0, 1, 2, 3]
+        assert [l["total_trials"] for l in lines if l["kind"] == "scenario"] == [4]
+        result = json.loads((tmp_path / "job" / "result.json").read_text())
+        assert result["scenarios"][0]["records"] == 4
 
     def test_scenario_wire_round_trip(self):
         # Wire form is a fixed point: to_dict() normalises implicit axis
